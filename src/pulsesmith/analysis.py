@@ -13,7 +13,6 @@ cross-checked against a finite-difference derivative of the composed matrix.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,10 @@ class AxisSpec:
     stop: float
     count: int
 
+    def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis bounds must be finite, got {self.start!r}:{self.stop!r}")
+
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
@@ -110,14 +113,12 @@ def infidelity_ray(
     """1 - F between the erroneous sequence and its target at errors
     t * (d_eps, d_f) for each scale t, with the ray normalized to unit length."""
     d_eps, d_f = _unit_ray(ray)
-    target = rotation(seq.target)
-    out = []
     for t in t_values:
         if not 0.0 <= t <= 0.5:
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
-        err = ErrorPair(t * d_eps, t * d_f)
-        out.append(1.0 - gate_fidelity(compose_with_errors(seq, err), target))
-    return out
+    t = np.asarray(t_values, dtype=float)
+    err = ErrorPair(t * d_eps, t * d_f)
+    return (1.0 - gate_fidelity(compose_with_errors(seq, err), rotation(seq.target))).tolist()
 
 
 def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float, float]:
@@ -220,36 +221,21 @@ def symmetric_ore_residual(seq: PulseSequence) -> OreResidualReport:
     return OreResidualReport(tuple(s_values), tuple(alpha_values), residual)
 
 
-def fidelity_grid(
-    seq: PulseSequence,
-    eps_axis: AxisSpec,
-    f_axis: AxisSpec,
-    workers: int = 1,
-) -> FidelityGrid:
+def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> FidelityGrid:
     """Gate fidelity of the erroneous sequence against its target over an
     inclusive (epsilon, f) grid.
 
-    Rows may be computed by a worker pool; each row is an independent pure
-    computation assembled in axis order, so the output is identical for any
-    worker count.
+    Each f row is one batched evaluation over the whole epsilon axis; rows
+    rather than the full grid keep the intermediate matrix stacks small.
     """
     if eps_axis.count < 2 or f_axis.count < 2:
         raise ValueError("grid axes need at least two points")
     eps_points = eps_axis.points()
     target = rotation(seq.target)
-
-    def row(f: float) -> list[float]:
-        return [
-            gate_fidelity(compose_with_errors(seq, ErrorPair(float(e), f)), target)
-            for e in eps_points
-        ]
-
-    f_points = [float(f) for f in f_axis.points()]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, f_points))
-    else:
-        rows = [row(f) for f in f_points]
+    rows = [
+        gate_fidelity(compose_with_errors(seq, ErrorPair(eps_points, f)), target)
+        for f in f_axis.points()
+    ]
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.array(rows))
 
 

@@ -42,7 +42,7 @@ SOUTH_POLE = BlochVector(0.0, 0.0, -1.0)
 
 def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     """Bloch vector of U rho U† for the pure state rho = (I + r.sigma)/2."""
-    if abs(r.norm() - 1.0) > NORM_TOL:
+    if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
     rho = 0.5 * (SIGMA_0 + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
     rho = U @ rho @ U.conj().T
@@ -83,18 +83,19 @@ def trajectory(
     """
     if samples_per_pulse < 1:
         raise ValueError("samples_per_pulse must be at least 1")
-    if abs(initial.norm() - 1.0) > NORM_TOL:
+    if not abs(initial.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
     m = samples_per_pulse
+    fractions = np.arange(1, m + 1) / m
     points = [TrajectoryPoint(0, 0.0, initial)]
     prefix = SIGMA_0
     for index, pulse in enumerate(seq.pulses, start=1):
-        partial = prefix
-        for j in range(1, m + 1):
-            fraction = j / m
-            partial = rotation_with_error(Pulse(pulse.theta * fraction, pulse.phi), err) @ prefix
-            points.append(TrajectoryPoint(index, fraction, apply_to_state(partial, initial)))
-        prefix = partial
+        partials = rotation_with_error(Pulse(pulse.theta * fractions, pulse.phi), err) @ prefix
+        points.extend(
+            TrajectoryPoint(index, fraction, apply_to_state(partial, initial))
+            for fraction, partial in zip(fractions.tolist(), partials)
+        )
+        prefix = partials[-1]
     return Trajectory(seq.family, seq.target, err, m, tuple(points))
 
 

@@ -9,8 +9,8 @@ Subcommands:
 * ``timecompare`` - total operation time of SCORBUTUS vs SKinsC per angle.
 * ``trajectory``  - Bloch-sphere path of a state under the erroneous sequence.
 
-Outputs are deterministic: identical invocations produce identical bytes,
-independent of the PULSESMITH_THREADS worker count.
+Outputs are deterministic: identical invocations produce identical bytes.
+Non-finite error values and grid bounds are rejected with exit code 2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -128,17 +127,6 @@ def parse_bloch_vector(text: str) -> BlochVector:
     return BlochVector(x, y, z)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("PULSESMITH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PULSESMITH_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -230,12 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     seq = _resolve_sequence(args)
-    grid = fidelity_grid(
-        seq,
-        parse_axis_spec(args.eps),
-        parse_axis_spec(args.f),
-        workers=_threads_from_env(),
-    )
+    grid = fidelity_grid(seq, parse_axis_spec(args.eps), parse_axis_spec(args.f))
     if args.format == "csv":
         text = grid_to_csv(grid)
     else:
@@ -275,7 +258,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_target_options(sub: argparse.ArgumentParser, with_sequence_file: bool) -> None:
+def _add_target_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--family",
         choices=FAMILIES,
@@ -286,12 +269,11 @@ def _add_target_options(sub: argparse.ArgumentParser, with_sequence_file: bool) 
     sub.add_argument(
         "--phi", type=AngleExpr.parse, default=AngleExpr("0", 0.0), help="target phase"
     )
-    if with_sequence_file:
-        sub.add_argument(
-            "--sequence-file",
-            default=None,
-            help="load the sequence from a synth JSON file instead",
-        )
+    sub.add_argument(
+        "--sequence-file",
+        default=None,
+        help="load the sequence from a synth JSON file instead",
+    )
 
 
 # lets values like "-0.25:0.25:101" follow a flag without being mistaken
@@ -317,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="certify robustness orders")
-    _add_target_options(p, with_sequence_file=True)
+    _add_target_options(p)
     p.add_argument("--ray", choices=list(RAY_DIRECTIONS), default=None, help="restrict to one ray")
     p.add_argument("--out", default=None, help="also write a JSON report")
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("grid", help="fidelity over an error grid")
-    _add_target_options(p, with_sequence_file=True)
+    _add_target_options(p)
     p.add_argument("--eps", default="-0.25:0.25:101", help="epsilon axis min:max:count")
     p.add_argument("--f", default="-0.25:0.25:101", help="f axis min:max:count")
     p.add_argument("--out", default=None)
@@ -339,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_timecompare)
 
     p = sub.add_parser("trajectory", help="Bloch-sphere path under errors")
-    _add_target_options(p, with_sequence_file=True)
+    _add_target_options(p)
     p.add_argument("--eps", type=float, default=0.0, help="pulse length error")
     p.add_argument("--f", type=float, default=0.0, help="off-resonance error")
     p.add_argument("--samples", type=int, default=64, help="samples per pulse")

@@ -22,26 +22,29 @@ from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, compose, rotation_with_erro
 
 FAMILIES = ("elementary", "scrofulous", "scorbutus", "skinsc")
 
-ARCSINC_MAX_ITER = 200
-ARCSINC_X_TOL = 1e-15
+BISECT_MAX_ITER = 200
+BISECT_X_TOL = 1e-15
 
 
-def _first_sinc_minimum() -> float:
-    # First positive root of x cos x - sin x, bracketed in (pi, 3pi/2);
-    # this is where sinc has its first local minimum (~4.493409).
-    lo, hi = math.pi, 1.5 * math.pi
-    for _ in range(200):
+def _bisect(below, lo: float, hi: float) -> float:
+    # Bisection for the point in [lo, hi] where the monotone predicate
+    # below(x) turns false; bounded iteration count, deterministic.
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid * math.cos(mid) - math.sin(mid) < 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15:
+        if hi - lo <= BISECT_X_TOL:
             break
     return 0.5 * (lo + hi)
 
 
-SINC_BRANCH_END = _first_sinc_minimum()
+# First positive root of x cos x - sin x, bracketed in (pi, 3pi/2); this is
+# where sinc has its first local minimum (~4.493409).
+SINC_BRANCH_END = _bisect(
+    lambda x: x * math.cos(x) - math.sin(x) < 0.0, math.pi, 1.5 * math.pi
+)
 SINC_BRANCH_FLOOR = math.sin(SINC_BRANCH_END) / SINC_BRANCH_END  # ~ -0.217234
 
 
@@ -61,16 +64,7 @@ def arcsinc(y: float) -> float:
         raise ValueError("arcsinc argument out of branch range")
     if y == 1.0:
         return 0.0
-    lo, hi = 0.0, SINC_BRANCH_END
-    for _ in range(ARCSINC_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if sinc(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= ARCSINC_X_TOL:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: sinc(x) > y, 0.0, SINC_BRANCH_END)
 
 
 @dataclass(frozen=True)

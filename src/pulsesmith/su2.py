@@ -2,7 +2,10 @@
 
 Rotations about axes in the xy plane, their error-deformed counterparts,
 products over pulse sequences, and the fidelity/distance metrics used to
-compare them. Matrices are plain 2x2 complex numpy arrays.
+compare them. Matrices are plain 2x2 complex numpy arrays. The rotation,
+product and fidelity functions broadcast: given a pulse angle or error
+fields that are arrays, they work on (..., 2, 2) stacks, one matrix per
+element, so that a sweep over errors is one call instead of a loop.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 Unitary2 = np.ndarray
-"""A 2x2 complex matrix; everything below produces and consumes these."""
+"""A 2x2 complex matrix, or a (..., 2, 2) stack of them; everything below
+produces and consumes these."""
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,26 +58,36 @@ class ErrorPair:
     """Dimensionless systematic error magnitudes.
 
     ``epsilon`` scales the rotation angle (pulse length error); ``f`` tilts
-    the rotation axis toward z (off-resonance error).
+    the rotation axis toward z (off-resonance error). Either may be an array
+    (same shape as the other, or broadcast against a float) to describe a
+    batch of error points; every value must be finite.
     """
 
-    epsilon: float
-    f: float
+    epsilon: float | np.ndarray
+    f: float | np.ndarray
+
+    def __post_init__(self):
+        for name in ("epsilon", "f"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 NO_ERROR = ErrorPair(0.0, 0.0)
 
 
-def _axis_angle(half_angle: float, mx: float, my: float, mz: float) -> Unitary2:
-    # cos(a) I - i sin(a) m.sigma for a unit axis m; shared by the exact and
-    # error-free paths so that zero error reproduces the same bits.
-    c = math.cos(half_angle)
-    s = math.sin(half_angle)
-    return np.array(
+def _axis_angle(half_angle, mx, my, mz) -> Unitary2:
+    # cos(a) I - i sin(a) m.sigma for a unit axis m, elementwise over
+    # broadcast arguments; shared by the exact and error-free paths so that
+    # zero error reproduces the same bits.
+    c = np.cos(half_angle)
+    s = np.sin(half_angle)
+    return np.stack(
         [
-            [c - 1j * s * mz, -1j * s * (mx - 1j * my)],
-            [-1j * s * (mx + 1j * my), c + 1j * s * mz],
-        ]
+            np.stack([c - 1j * s * mz, -1j * s * (mx - 1j * my)], axis=-1),
+            np.stack([-1j * s * (mx + 1j * my), c + 1j * s * mz], axis=-1),
+        ],
+        axis=-2,
     )
 
 
@@ -88,10 +102,11 @@ def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
     Evaluated in closed form: the generator axis n_phi + f z has length
     sqrt(1 + f^2), so this is a rotation by theta (1+eps) sqrt(1+f^2) about
     the normalized tilted axis. Reduces exactly to :func:`rotation` at zero
-    error.
+    error. An array ``pulse.theta`` or array error fields give the stack of
+    rotations over their broadcast shape.
     """
     nx, ny = math.cos(pulse.phi), math.sin(pulse.phi)
-    nrm = math.sqrt(1.0 + err.f * err.f)
+    nrm = np.sqrt(1.0 + err.f * err.f)
     angle = pulse.theta * (1.0 + err.epsilon) * nrm
     return _axis_angle(0.5 * angle, nx / nrm, ny / nrm, err.f / nrm)
 
@@ -117,7 +132,7 @@ def first_order_expansion(pulse: Pulse, err: ErrorPair) -> Unitary2:
 
 def compose(matrices: list[Unitary2]) -> Unitary2:
     """Product of unitaries given in application order (index 0 acts first),
-    i.e. U_k ... U_1 as a matrix product."""
+    i.e. U_k ... U_1 as a matrix product; stacks multiply elementwise."""
     if len(matrices) == 0:
         raise ValueError("empty sequence")
     acc = matrices[0]
@@ -126,21 +141,31 @@ def compose(matrices: list[Unitary2]) -> Unitary2:
     return acc
 
 
-def unitarity_defect(U: Unitary2) -> float:
-    """Frobenius norm of U†U - I."""
-    return float(np.linalg.norm(U.conj().T @ U - SIGMA_0))
+def _dagger(U: Unitary2) -> Unitary2:
+    return np.swapaxes(U.conj(), -1, -2)
 
 
-def gate_fidelity(U: Unitary2, V: Unitary2) -> float:
-    """|tr(U† V)| / 2, clamped to [0, 1].
+def unitarity_defect(U: Unitary2) -> float | np.ndarray:
+    """Frobenius norm of U†U - I; an array of them for a stack."""
+    defect = np.linalg.norm(_dagger(U) @ U - SIGMA_0, axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
+
+
+def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
+    """|tr(U† V)| / 2, clamped to [0, 1]; an array of them for stacks.
 
     Equals 1 exactly when the two gates agree up to a global phase, which is
     the right notion of equality here: composed sequences can reproduce their
-    target only up to an overall sign.
+    target only up to an overall sign. Raises if any matrix of either operand
+    is not unitary, NaN entries included.
     """
-    if unitarity_defect(U) > UNITARITY_TOL or unitarity_defect(V) > UNITARITY_TOL:
-        raise ValueError("non-unitary operand")
-    return min(1.0, abs(complex(np.trace(U.conj().T @ V))) / 2.0)
+    for operand in (U, V):
+        if not np.all(unitarity_defect(operand) <= UNITARITY_TOL):
+            raise ValueError("non-unitary operand")
+    trace = np.trace(_dagger(U) @ V, axis1=-2, axis2=-1)
+    # hypot rounds like Python's complex abs, which numpy's abs does not
+    fidelity = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
 def frobenius_distance(U: Unitary2, V: Unitary2) -> float:

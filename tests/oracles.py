@@ -23,10 +23,13 @@ def expm_rotation(theta, phi, eps=0.0, f=0.0):
     return expm(-1j * theta * (1.0 + eps) * generator)
 
 
-def quat_of_pulse(theta, phi):
-    """(scalar, vector) parts of cos(t/2) I - i sin(t/2) n_phi . sigma."""
-    s = math.sin(0.5 * theta)
-    return (math.cos(0.5 * theta), (s * math.cos(phi), s * math.sin(phi), 0.0))
+def quat_of_pulse(theta, phi, eps=0.0, f=0.0):
+    """(scalar, vector) parts of exp(-i theta (1+eps) (n_phi . sigma + f sigma_z) / 2),
+    a rotation by theta (1+eps) sqrt(1+f^2) about (n_phi + f z) / sqrt(1+f^2)."""
+    nrm = math.sqrt(1.0 + f * f)
+    half = 0.5 * theta * (1.0 + eps) * nrm
+    s = math.sin(half) / nrm
+    return (math.cos(half), (s * math.cos(phi), s * math.sin(phi), s * f))
 
 
 def quat_multiply(left, right):
@@ -44,11 +47,12 @@ def quat_multiply(left, right):
     return (a, b)
 
 
-def quat_compose(pulses):
-    """Compose (theta, phi) pulses in application order, index 0 first."""
+def quat_compose(pulses, eps=0.0, f=0.0):
+    """Compose (theta, phi) pulses in application order, index 0 first, each
+    deformed by the same error pair."""
     q = (1.0, (0.0, 0.0, 0.0))
     for theta, phi in pulses:
-        q = quat_multiply(quat_of_pulse(theta, phi), q)
+        q = quat_multiply(quat_of_pulse(theta, phi, eps, f), q)
     return q
 
 

@@ -147,6 +147,8 @@ def test_trajectory_input_validation():
         trajectory(seq, ErrorPair(0.0, 0.0), NORTH_POLE, 0)
     with pytest.raises(ValueError, match="norm"):
         trajectory(seq, ErrorPair(0.0, 0.0), BlochVector(0.0, 0.0, 2.0), 4)
+    with pytest.raises(ValueError, match="norm"):
+        trajectory(seq, ErrorPair(0.0, 0.0), BlochVector(math.nan, 0.0, 1.0), 4)
 
 
 def test_trajectory_csv_and_dict():

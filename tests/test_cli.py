@@ -193,7 +193,8 @@ def test_grid_deterministic_across_threads(tmp_path, monkeypatch):
         "--eps", "-0.25:0.25:11", "--f", "-0.25:0.25:11",
     ]
     outs = []
-    for name, threads in (("a", None), ("b", "1"), ("c", "4")):
+    # the variable is not read; no setting may change the bytes
+    for name, threads in (("a", None), ("b", "1"), ("c", "4"), ("d", "lots")):
         if threads is None:
             monkeypatch.delenv("PULSESMITH_THREADS", raising=False)
         else:
@@ -201,7 +202,23 @@ def test_grid_deterministic_across_threads(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.csv"
         assert main(argv + ["--out", str(path)]) == 0
         outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+def test_grid_bad_threads_env(monkeypatch, capsys):
+    # a value that once exited 2 is now ignored like any other
+    argv = [
+        "grid", "--family", "elementary", "--theta", "pi",
+        "--eps", "-0.1:0.1:3", "--f", "-0.1:0.1:3",
+    ]
+    monkeypatch.delenv("PULSESMITH_THREADS", raising=False)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setenv("PULSESMITH_THREADS", "lots")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
 
 
 def test_grid_json_format(capsys):
@@ -215,14 +232,19 @@ def test_grid_json_format(capsys):
     assert len(data["values"]) == 3 and len(data["values"][0]) == 3
 
 
-def test_grid_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("PULSESMITH_THREADS", "lots")
-    code = main([
-        "grid", "--family", "elementary", "--theta", "pi",
-        "--eps", "-0.1:0.1:3", "--f", "-0.1:0.1:3",
-    ])
+@pytest.mark.parametrize("argv", [
+    ["grid", "--eps", "0:nan:3"],
+    ["grid", "--eps", "0:inf:3"],
+    ["grid", "--f=-inf:0:3"],
+    ["trajectory", "--eps", "nan"],
+    ["trajectory", "--f", "inf"],
+])
+def test_non_finite_errors_exit_code(argv, capsys):
+    code = main(argv[:1] + ["--family", "elementary", "--theta", "pi"] + argv[1:])
     assert code == 2
-    assert "PULSESMITH_THREADS" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 # ---------------------------------------------------------------- timecompare

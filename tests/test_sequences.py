@@ -346,6 +346,27 @@ def test_compose_with_errors_against_quaternion_oracle():
         assert frobenius_distance(compose_with_errors(seq, ZERO), reference) < 1e-10
 
 
+def test_batched_fidelity_matches_scalar_calls_and_quaternion_oracle():
+    # one broadcast call over an (eps, f) array against per-point calls
+    rng = np.random.default_rng(12)
+    eps = rng.uniform(-0.25, 0.25, size=(7, 9))
+    f = rng.uniform(-0.25, 0.25, size=(7, 9))
+    for family in FAMILIES:
+        seq = GENERATORS[family](2.0, 1.1)
+        pulses = [(p.theta, p.phi) for p in seq.pulses]
+        target = rotation(seq.target)
+        stack = compose_with_errors(seq, ErrorPair(eps, f))
+        fidelities = gate_fidelity(stack, target)
+        assert stack.shape == (7, 9, 2, 2) and fidelities.shape == (7, 9)
+        for idx in np.ndindex(eps.shape):
+            e, g = float(eps[idx]), float(f[idx])
+            single = compose_with_errors(seq, ErrorPair(e, g))
+            assert frobenius_distance(stack[idx], single) <= 1e-15
+            assert abs(fidelities[idx] - gate_fidelity(single, target)) <= 1e-15
+            reference = oracles.quat_to_matrix(oracles.quat_compose(pulses, e, g))
+            assert frobenius_distance(stack[idx], reference) < EXACT_TOL
+
+
 # ---------------------------------------------------------------- serialization
 
 

@@ -217,6 +217,27 @@ def test_gate_fidelity_rejects_non_unitary():
         gate_fidelity(SIGMA_0, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
+def test_gate_fidelity_rejects_one_non_unitary_matrix_in_a_stack():
+    stack = rotation_with_error(Pulse(1.0, 0.3), ErrorPair(np.linspace(-0.2, 0.2, 5), 0.1))
+    target = rotation(Pulse(1.0, 0.3))
+    assert gate_fidelity(stack, target).shape == (5,)
+    for bad in (1.5 * stack[2], np.full((2, 2), np.nan)):
+        broken = stack.copy()
+        broken[2] = bad
+        with pytest.raises(ValueError, match="non-unitary operand"):
+            gate_fidelity(broken, target)
+        with pytest.raises(ValueError, match="non-unitary operand"):
+            gate_fidelity(target, broken)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_error_pair_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        ErrorPair(bad, 0.0)
+    with pytest.raises(ValueError, match="f must be finite"):
+        ErrorPair(0.0, np.array([0.1, bad]))
+
+
 def test_frobenius_distance_cases():
     U = rotation(Pulse(1.0, 2.0))
     assert frobenius_distance(U, U) == 0.0
