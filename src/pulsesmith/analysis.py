@@ -71,6 +71,8 @@ class AxisSpec:
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"axis bounds must be finite, got {self.start!r}:{self.stop!r}")
+        if self.count < 2:
+            raise ValueError(f"axis needs at least two points, got count {self.count!r}")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -176,11 +178,16 @@ def first_order_coefficient(seq: PulseSequence, which: str) -> Unitary2:
     return (4.0 * fine - coarse) / 3.0
 
 
+def _is_palindromic(seq: PulseSequence) -> bool:
+    """An odd number of pulses reading the same in both orders; the sequences
+    :func:`symmetric_ore_residual` accepts."""
+    return len(seq.pulses) % 2 == 1 and seq.pulses == tuple(reversed(seq.pulses))
+
+
 def _palindrome_half(seq: PulseSequence) -> list[Pulse]:
-    pulses = seq.pulses
-    if len(pulses) % 2 == 0 or pulses != tuple(reversed(pulses)):
+    if not _is_palindromic(seq):
         raise ValueError("sequence is not palindromic")
-    return list(pulses[: (len(pulses) + 1) // 2])
+    return list(seq.pulses[: (len(seq.pulses) + 1) // 2])
 
 
 def alpha_coefficient(seq: PulseSequence, i: int) -> float:
@@ -228,8 +235,6 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     Each f row is one batched evaluation over the whole epsilon axis; rows
     rather than the full grid keep the intermediate matrix stacks small.
     """
-    if eps_axis.count < 2 or f_axis.count < 2:
-        raise ValueError("grid axes need at least two points")
     eps_points = eps_axis.points()
     target = rotation(seq.target)
     rows = [

@@ -23,9 +23,9 @@ NORM_TOL = 1e-10
 class BlochVector:
     """Expectation values (<sx>, <sy>, <sz>) of a pure state; unit norm."""
 
-    x: float
-    y: float
-    z: float
+    x: float | np.ndarray
+    y: float | np.ndarray
+    z: float | np.ndarray
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -41,16 +41,16 @@ SOUTH_POLE = BlochVector(0.0, 0.0, -1.0)
 
 
 def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
-    """Bloch vector of U rho U† for the pure state rho = (I + r.sigma)/2."""
+    """Bloch vector of U rho U† for the pure state rho = (I + r.sigma)/2; for a
+    (..., 2, 2) stack U its fields are arrays over the stack shape, not floats."""
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
     rho = 0.5 * (SIGMA_0 + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
-    rho = U @ rho @ U.conj().T
-    return BlochVector(
-        float(np.trace(rho @ SIGMA_X).real),
-        float(np.trace(rho @ SIGMA_Y).real),
-        float(np.trace(rho @ SIGMA_Z).real),
-    )
+    rho = U @ rho @ np.swapaxes(U.conj(), -1, -2)
+    x, y, z = (np.trace(rho @ s, axis1=-2, axis2=-1).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    if x.ndim == 0:
+        return BlochVector(float(x), float(y), float(z))
+    return BlochVector(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,9 @@ def trajectory(
     prefix = SIGMA_0
     for index, pulse in enumerate(seq.pulses, start=1):
         partials = rotation_with_error(Pulse(pulse.theta * fractions, pulse.phi), err) @ prefix
-        points.extend(
-            TrajectoryPoint(index, fraction, apply_to_state(partial, initial))
-            for fraction, partial in zip(fractions.tolist(), partials)
-        )
+        s = apply_to_state(partials, initial)
+        samples = zip(fractions.tolist(), s.x.tolist(), s.y.tolist(), s.z.tolist())
+        points.extend(TrajectoryPoint(index, t, BlochVector(x, y, z)) for t, x, y, z in samples)
         prefix = partials[-1]
     return Trajectory(seq.family, seq.target, err, m, tuple(points))
 

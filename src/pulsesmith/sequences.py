@@ -214,7 +214,42 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
     }
 
 
+def _member(data, key: str, path: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{path or 'sequence'} must be an object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{path + '.' if path else ''}{key} is missing")
+    return data[key]
+
+
+def _pulse(data, path: str) -> Pulse:
+    angles = []
+    for key in ("theta", "phi"):
+        value = _member(data, key, path)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{path}.{key} must be a finite number, got {value!r}")
+        angles.append(value)
+    return Pulse(*angles)
+
+
 def sequence_from_dict(data: dict) -> PulseSequence:
-    pulses = tuple(Pulse(p["theta"], p["phi"]) for p in data["pulses"])
-    target = Pulse(data["target"]["theta"], data["target"]["phi"])
-    return PulseSequence(pulses, target, data["family"])
+    """Inverse of :func:`sequence_to_dict` for data read from a file.
+
+    Malformed data raises ValueError naming the offending path, e.g.
+    ``pulses[2].theta``: a missing key, an empty pulse list, or an angle
+    that is not a finite number (booleans included).
+    """
+    family = _member(data, "family", "")
+    if not isinstance(family, str):
+        raise ValueError(f"family must be a string, got {family!r}")
+    target = _pulse(_member(data, "target", ""), "target")
+    pulses = _member(data, "pulses", "")
+    if not isinstance(pulses, list) or not pulses:
+        raise ValueError(f"pulses must be a non-empty list, got {pulses!r}")
+    return PulseSequence(
+        tuple(_pulse(p, f"pulses[{i}]") for i, p in enumerate(pulses)), target, family
+    )

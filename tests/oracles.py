@@ -56,6 +56,20 @@ def quat_compose(pulses, eps=0.0, f=0.0):
     return q
 
 
+def quat_rotate(q, r):
+    """Bloch vector r turned by the SU(2) element q = a I - i b.sigma:
+    (a^2 - |b|^2) r + 2 a (b x r) + 2 (b . r) b."""
+    a, b = q
+    dot = b[0] * r[0] + b[1] * r[1] + b[2] * r[2]
+    cross = (
+        b[1] * r[2] - b[2] * r[1],
+        b[2] * r[0] - b[0] * r[2],
+        b[0] * r[1] - b[1] * r[0],
+    )
+    scale = a * a - (b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+    return tuple(scale * r[i] + 2.0 * a * cross[i] + 2.0 * dot * b[i] for i in range(3))
+
+
 def quat_to_matrix(q):
     a, (bx, by, bz) = q
     return a * ID - 1j * (bx * SX + by * SY + bz * SZ)

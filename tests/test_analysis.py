@@ -294,6 +294,12 @@ def test_axis_spec_rejects_non_finite_bounds(bad):
         AxisSpec(bad, 0.0, 3)
 
 
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_axis_spec_rejects_fewer_than_two_points(count):
+    with pytest.raises(ValueError, match="two points"):
+        AxisSpec(0.0, 0.1, count)
+
+
 def test_fidelity_grid_rejects_degenerate_axes():
     with pytest.raises(ValueError, match="two points"):
         fidelity_grid(elementary(PI, 0.0), AxisSpec(0.0, 0.1, 1), AxisSpec(0.0, 0.1, 5))

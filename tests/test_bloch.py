@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from pulsesmith.bloch import (
     NORTH_POLE,
     SOUTH_POLE,
@@ -44,6 +45,40 @@ def test_quarter_pulse_sends_north_to_minus_y():
 def test_apply_rejects_off_sphere_state():
     with pytest.raises(ValueError, match="norm"):
         apply_to_state(SIGMA_0, BlochVector(0.0, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_apply_to_stack_matches_single_calls_and_quaternion_oracle(family):
+    rng = np.random.default_rng(7)
+    seq = GENERATORS[family](2.0, 0.5)
+    eps, f = np.meshgrid(np.linspace(-0.2, 0.2, 5), np.linspace(-0.15, 0.25, 4))
+    stack = compose_with_errors(seq, ErrorPair(eps, f))
+    assert stack.shape == (4, 5, 2, 2)
+    pulses = [(p.theta, p.phi) for p in seq.pulses]
+    for _ in range(3):
+        v = rng.normal(size=3)
+        r = BlochVector(*(float(c) for c in v / np.linalg.norm(v)))
+        out = apply_to_state(stack, r)
+        for field in (out.x, out.y, out.z):
+            assert isinstance(field, np.ndarray) and field.shape == (4, 5)
+        for i, j in np.ndindex(4, 5):
+            single = apply_to_state(stack[i, j], r)
+            assert type(single.x) is float
+            assert (out.x[i, j], out.y[i, j], out.z[i, j]) == (single.x, single.y, single.z)
+            want = oracles.quat_rotate(
+                oracles.quat_compose(pulses, float(eps[i, j]), float(f[i, j])), (r.x, r.y, r.z)
+            )
+            got = (single.x, single.y, single.z)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_apply_to_stack_with_nan_matrix_is_not_a_unit_vector():
+    stack = np.stack([rotation(Pulse(PI / 3, 0.2)), np.full((2, 2), np.nan + 0j), SIGMA_0])
+    out = apply_to_state(stack, NORTH_POLE)
+    norms = np.sqrt(out.x**2 + out.y**2 + out.z**2)
+    assert not np.isfinite(norms[1])
+    assert abs(norms[0] - 1.0) <= NORM_TOL
+    assert (out.x[2], out.y[2], out.z[2]) == (0.0, 0.0, 1.0)
 
 
 def test_trajectory_near_identity_pulse():

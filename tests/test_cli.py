@@ -170,6 +170,45 @@ def test_verify_flag_conflicts_are_aggregated(capsys, tmp_path):
     assert "--family is required" in err and "--theta is required" in err
 
 
+_GOOD_PULSE = '{"theta": 1.0, "phi": 0.0}'
+_GOOD_HEAD = '"family": "scorbutus", "target": {"theta": 1.0, "phi": 0.0}'
+
+
+@pytest.mark.parametrize("command", ["verify", "grid", "trajectory"])
+@pytest.mark.parametrize("text, where", [
+    ("[]", "sequence must be an object"),
+    ('{"pulses": []}', "family is missing"),
+    ('{"family": "scorbutus", "pulses": [%s]}' % _GOOD_PULSE, "target is missing"),
+    ('{"family": "scorbutus", "target": {"theta": 1.0, "phi": 0.0}}', "pulses is missing"),
+    ('{%s, "pulses": []}' % _GOOD_HEAD, "pulses must be a non-empty list"),
+    ('{%s, "pulses": [{"theta": 1.0}]}' % _GOOD_HEAD, "pulses[0].phi is missing"),
+    ('{%s, "pulses": [%s, {"phi": 0.0}]}' % (_GOOD_HEAD, _GOOD_PULSE), "pulses[1].theta is missing"),
+    ('{%s, "pulses": [%s, 3]}' % (_GOOD_HEAD, _GOOD_PULSE), "pulses[1] must be an object"),
+    ('{%s, "pulses": [{"theta": "nan", "phi": 0.0}]}' % _GOOD_HEAD, "pulses[0].theta"),
+    ('{%s, "pulses": [%s, %s, {"theta": true, "phi": 0.0}]}' % ((_GOOD_HEAD,) + (_GOOD_PULSE,) * 2),
+     "pulses[2].theta"),
+    ('{%s, "pulses": [{"theta": NaN, "phi": 0.0}]}' % _GOOD_HEAD, "pulses[0].theta"),
+    ('{%s, "pulses": [{"theta": 1.0, "phi": -Infinity}]}' % _GOOD_HEAD, "pulses[0].phi"),
+    ('{"family": "scorbutus", "target": {"theta": 1e400, "phi": 0.0}, "pulses": [%s]}'
+     % _GOOD_PULSE, "target.theta"),
+    ('{%s, "pulses": [{"theta": 1%s, "phi": 0.0}]}' % (_GOOD_HEAD, "0" * 400), "pulses[0].theta"),
+    ('{"family": 5, "target": {"theta": 1.0, "phi": 0.0}, "pulses": [%s]}' % _GOOD_PULSE,
+     "family must be a string"),
+], ids=[
+    "list", "no-family", "no-target", "no-pulses", "empty-pulses", "no-phi", "no-theta",
+    "pulse-not-object", "string-nan", "boolean", "json-nan", "json-infinity",
+    "exponent-overflow", "huge-integer", "family-not-string",
+])
+def test_malformed_sequence_file_exit_code(command, text, where, tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(text)
+    code = main([command, "--sequence-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and where in captured.err
+
+
 # ---------------------------------------------------------------- grid
 
 
