@@ -19,6 +19,12 @@ from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, ErrorPair, Pulse, Unitary2,
 NORM_TOL = 1e-10
 
 
+def _sqrt(value):
+    # a Python float for scalar fields, so messages quoting a norm read as
+    # before; an array over the stack shape for array fields
+    return np.sqrt(value) if isinstance(value, np.ndarray) else math.sqrt(value)
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Expectation values (<sx>, <sy>, <sz>) of a pure state; unit norm."""
@@ -27,13 +33,11 @@ class BlochVector:
     y: float | np.ndarray
     z: float | np.ndarray
 
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+    def norm(self) -> float | np.ndarray:
+        return _sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def distance(self, other: "BlochVector") -> float:
-        return math.sqrt(
-            (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
-        )
+    def distance(self, other: "BlochVector") -> float | np.ndarray:
+        return _sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2)
 
 
 NORTH_POLE = BlochVector(0.0, 0.0, 1.0)

@@ -11,7 +11,9 @@ Subcommands:
 
 Outputs are deterministic: identical invocations produce identical bytes.
 Non-finite error values and grid bounds, and malformed sequence files, are
-rejected with exit code 2.
+rejected with exit code 2, as is a ``verify`` of a sequence file whose family
+has no entry in ``sequences.FAMILY_SPECS`` (``grid`` and ``trajectory`` take
+any family label).
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .analysis import (
 from .bloch import BlochVector, trajectory, trajectory_to_csv, trajectory_to_dict
 from .sequences import (
     FAMILIES,
+    FAMILY_SPECS,
     PulseSequence,
     compose_with_errors,
+    family_spec,
     sequence_from_dict,
     sequence_to_dict,
     synthesize,
@@ -53,13 +57,9 @@ EXIT_VERIFY_FAIL = 3
 EXIT_IO = 4
 
 SLOPE_TOLERANCE = 0.3
-SLOPE_EXPECTATIONS = {
-    "elementary": {"eps": 2.0, "f": 2.0, "mixed": 2.0},
-    "scrofulous": {"eps": 4.0, "f": 2.0, "mixed": 2.0},
-    "scorbutus": {"eps": 4.0, "f": 4.0, "mixed": 4.0},
-    "skinsc": {"eps": 4.0, "f": 4.0, "mixed": 4.0},
-}
-RESIDUAL_LIMITS = {"scorbutus": 1e-10}
+# views of sequences.FAMILY_SPECS under the names perfbench/workloads.py reads
+SLOPE_EXPECTATIONS = {name: spec.slopes for name, spec in FAMILY_SPECS.items()}
+RESIDUAL_LIMITS = {n: s.residual_limit for n, s in FAMILY_SPECS.items() if s.residual_limit is not None}
 RAY_DIRECTIONS = {"eps": (1.0, 0.0), "f": (0.0, 1.0), "mixed": (1.0, 1.0)}
 T_VALUES = tuple(float(t) for t in np.logspace(-3.0, -1.5, 13))
 
@@ -170,26 +170,26 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seq = _resolve_sequence(args)
+    spec = family_spec(seq.family)
     ray_names = [args.ray] if args.ray else list(RAY_DIRECTIONS)
     reports = {name: slope_report(seq, RAY_DIRECTIONS[name], T_VALUES) for name in ray_names}
 
     residual_report = symmetric_ore_residual(seq) if _is_palindromic(seq) else None
 
-    expected = SLOPE_EXPECTATIONS.get(seq.family)
     ok = True
     lines = []
     for name in ray_names:
         report = reports[name]
-        line = f"ray {name}: slope={report.fitted_slope:.3f}"
-        if expected is not None:
-            want = expected[name]
-            ray_ok = abs(report.fitted_slope - want) <= SLOPE_TOLERANCE
-            ok = ok and ray_ok
-            line += f" expected={want:.1f}+-{SLOPE_TOLERANCE} [{'ok' if ray_ok else 'BAD'}]"
-        lines.append(line)
+        want = spec.slopes[name]
+        ray_ok = abs(report.fitted_slope - want) <= SLOPE_TOLERANCE
+        ok = ok and ray_ok
+        lines.append(
+            f"ray {name}: slope={report.fitted_slope:.3f}"
+            f" expected={want:.1f}+-{SLOPE_TOLERANCE} [{'ok' if ray_ok else 'BAD'}]"
+        )
     if residual_report is not None:
         line = f"ore residual: {residual_report.residual!r}"
-        limit = RESIDUAL_LIMITS.get(seq.family)
+        limit = spec.residual_limit
         if limit is not None:
             res_ok = abs(residual_report.residual) <= limit
             ok = ok and res_ok

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, compose, rotation_with_error
-
-FAMILIES = ("elementary", "scrofulous", "scorbutus", "skinsc")
 
 BISECT_MAX_ITER = 200
 BISECT_X_TOL = 1e-15
@@ -176,21 +175,45 @@ def skinsc(theta: float, phi: float) -> PulseSequence:
     return PulseSequence(pulses, Pulse(theta, phi), "skinsc")
 
 
-GENERATORS = {
-    "elementary": elementary,
-    "scrofulous": scrofulous,
-    "scorbutus": scorbutus,
-    "skinsc": skinsc,
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything known about one family: how to build it, and what its
+    robustness certificate must show.
+
+    ``slopes`` maps each certificate ray ("eps", "f", "mixed") to the
+    expected log-log slope of infidelity against error scale: 2 where the
+    family leaves that error at first order, 4 where it cancels it.
+    ``residual_limit`` bounds the palindromic off-resonance residual for
+    families built to zero it, and is None for the others.
+    """
+
+    generator: Callable[[float, float], PulseSequence]
+    slopes: dict[str, float]
+    residual_limit: float | None = None
+
+
+FAMILY_SPECS = {
+    "elementary": FamilySpec(elementary, {"eps": 2.0, "f": 2.0, "mixed": 2.0}),
+    "scrofulous": FamilySpec(scrofulous, {"eps": 4.0, "f": 2.0, "mixed": 2.0}),
+    "scorbutus": FamilySpec(scorbutus, {"eps": 4.0, "f": 4.0, "mixed": 4.0}, residual_limit=1e-10),
+    "skinsc": FamilySpec(skinsc, {"eps": 4.0, "f": 4.0, "mixed": 4.0}),
 }
+FAMILIES = tuple(FAMILY_SPECS)
+
+
+def family_spec(family: str) -> FamilySpec:
+    """The table entry of a family; ValueError for a name not in the table."""
+    try:
+        return FAMILY_SPECS[family]
+    except KeyError:
+        raise ValueError(
+            f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
+        ) from None
 
 
 def synthesize(family: str, theta: float, phi: float) -> PulseSequence:
     """Build a sequence by family name."""
-    try:
-        generator = GENERATORS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-    return generator(theta, phi)
+    return family_spec(family).generator(theta, phi)
 
 
 def total_time(seq: PulseSequence) -> float:

@@ -49,9 +49,6 @@ class Pulse:
     def __post_init__(self):
         object.__setattr__(self, "phi", normalize_phase(self.phi))
 
-    def axis(self) -> tuple[float, float, float]:
-        return (math.cos(self.phi), math.sin(self.phi), 0.0)
-
 
 @dataclass(frozen=True)
 class ErrorPair:
@@ -109,25 +106,6 @@ def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
     nrm = np.sqrt(1.0 + err.f * err.f)
     angle = pulse.theta * (1.0 + err.epsilon) * nrm
     return _axis_angle(0.5 * angle, nx / nrm, ny / nrm, err.f / nrm)
-
-
-def first_order_expansion(pulse: Pulse, err: ErrorPair) -> Unitary2:
-    """Series for the deformed rotation truncated after the linear error terms:
-
-        (theta)_phi - i eps (theta n_phi . sigma/2) (theta)_phi
-                    - i f sin(theta/2) sigma_z
-
-    Not unitary in general; kept as a cross-check oracle for
-    :func:`rotation_with_error`, never as a production path.
-    """
-    ideal = rotation(pulse)
-    nx, ny = math.cos(pulse.phi), math.sin(pulse.phi)
-    generator = 0.5 * pulse.theta * (nx * SIGMA_X + ny * SIGMA_Y)
-    return (
-        ideal
-        - 1j * err.epsilon * (generator @ ideal)
-        - 1j * err.f * math.sin(0.5 * pulse.theta) * SIGMA_Z
-    )
 
 
 def compose(matrices: list[Unitary2]) -> Unitary2:

@@ -24,7 +24,7 @@ from pulsesmith.analysis import (
 from pulsesmith.bloch import NORTH_POLE, SOUTH_POLE, trajectory
 from pulsesmith.cli import main
 from pulsesmith.sequences import (
-    GENERATORS,
+    FAMILIES,
     PulseSequence,
     compose_with_errors,
     elementary,
@@ -32,6 +32,7 @@ from pulsesmith.sequences import (
     scrofulous,
     skinsc,
     switchback_replace,
+    synthesize,
     theta_r_from_condition,
     total_time,
 )
@@ -62,11 +63,11 @@ def _slope(seq, ray):
 def test_acceptance_1_zero_error_exactness():
     start = time.perf_counter()
     checked = 0
-    for family, build in GENERATORS.items():
+    for family in FAMILIES:
         for theta in (0.3, PI / 2, 1.8, PI, 3.5):
             for phi in (0.0, 1.0, PI):
                 try:
-                    seq = build(theta, phi)
+                    seq = synthesize(family, theta, phi)
                 except ValueError:
                     continue  # outside this family's domain
                 fid = gate_fidelity(
@@ -111,7 +112,7 @@ def test_acceptance_3_robustness_orders():
     measured = {}
     for family, wanted in expectations.items():
         for theta in (PI / 2, PI):
-            seq = GENERATORS[family](theta, 0.0)
+            seq = synthesize(family, theta, 0.0)
             for ray_name, expected in wanted.items():
                 slope = _slope(seq, rays[ray_name])
                 measured[(family, theta, ray_name)] = slope

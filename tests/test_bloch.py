@@ -15,10 +15,10 @@ from pulsesmith.bloch import (
 )
 from pulsesmith.sequences import (
     FAMILIES,
-    GENERATORS,
     compose_with_errors,
     elementary,
     scorbutus,
+    synthesize,
 )
 from pulsesmith.su2 import SIGMA_0, ErrorPair, Pulse, rotation
 
@@ -50,7 +50,7 @@ def test_apply_rejects_off_sphere_state():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_apply_to_stack_matches_single_calls_and_quaternion_oracle(family):
     rng = np.random.default_rng(7)
-    seq = GENERATORS[family](2.0, 0.5)
+    seq = synthesize(family, 2.0, 0.5)
     eps, f = np.meshgrid(np.linspace(-0.2, 0.2, 5), np.linspace(-0.15, 0.25, 4))
     stack = compose_with_errors(seq, ErrorPair(eps, f))
     assert stack.shape == (4, 5, 2, 2)
@@ -70,6 +70,19 @@ def test_apply_to_stack_matches_single_calls_and_quaternion_oracle(family):
             )
             got = (single.x, single.y, single.z)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_norm_and_distance_on_a_stack_match_single_matrices():
+    seq = scorbutus(2.0, 0.5)
+    stack = compose_with_errors(seq, ErrorPair(np.array([-0.1, 0.0, 0.2]), 0.05))
+    out = apply_to_state(stack, NORTH_POLE)
+    norms, gaps = out.norm(), out.distance(SOUTH_POLE)
+    assert norms.shape == gaps.shape == (3,)
+    for k in range(3):
+        single = apply_to_state(stack[k], NORTH_POLE)
+        assert type(single.norm()) is float and type(single.distance(SOUTH_POLE)) is float
+        assert norms[k] == single.norm()
+        assert gaps[k] == single.distance(SOUTH_POLE)
 
 
 def test_apply_to_stack_with_nan_matrix_is_not_a_unit_vector():
@@ -110,7 +123,7 @@ def test_trajectory_norm_conservation():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_trajectory_endpoint_matches_composition(family):
     rng = np.random.default_rng(41)
-    seq = GENERATORS[family](2.0, 0.5)
+    seq = synthesize(family, 2.0, 0.5)
     for _ in range(20):
         err = ErrorPair(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
         traj = trajectory(seq, err, NORTH_POLE, 3)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from pulsesmith import cli
 from pulsesmith.cli import AngleExpr, main, parse_axis_spec, parse_bloch_vector
+from pulsesmith.sequences import FAMILY_SPECS
 
 PI = math.pi
 
@@ -168,6 +170,31 @@ def test_verify_flag_conflicts_are_aggregated(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "--family is required" in err and "--theta is required" in err
+
+
+def test_verify_rejects_a_family_it_cannot_certify(tmp_path, capsys):
+    # a bare pi pulse for a theta=1 target, labelled with a family that has
+    # no expectations: verify must not pass it, grid and trajectory still run
+    custom = {
+        "family": "custom",
+        "target": {"theta": 1.0, "phi": 0.0},
+        "pulses": [{"theta": PI, "phi": 0.0}],
+    }
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(custom))
+    code = main(["verify", "--sequence-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'custom'" in captured.err
+    for command in ("grid", "trajectory"):
+        assert main([command, "--sequence-file", str(path)]) == 0
+        assert capsys.readouterr().out
+
+
+def test_every_family_has_one_slope_per_verify_ray():
+    for name, spec in FAMILY_SPECS.items():
+        assert set(spec.slopes) == set(cli.RAY_DIRECTIONS), name
 
 
 _GOOD_PULSE = '{"theta": 1.0, "phi": 0.0}'

@@ -46,3 +46,19 @@ def test_one_block_runs_and_checks(perfbench, workload):
     for i in range(w.block):
         inp = w.make_input(i)
         assert w.check(inp, w.run(inp)) is None
+
+
+def test_survey_verdict_and_palindrome_rule_match_the_package(perfbench):
+    # Survey.verdict reads cli.SLOPE_EXPECTATIONS / cli.RESIDUAL_LIMITS, and
+    # Survey.run decides palindromicity inline; it must run the residual
+    # exactly when the package's own rule says the sequence is a palindrome
+    from pulsesmith.analysis import _is_palindromic
+
+    _, workloads = perfbench
+    w = workloads.Survey(seed=1)
+    for i in range(w.block):
+        inp = w.make_input(i)
+        out = w.run(inp)
+        seq, residual = out[0], out[3]
+        assert isinstance(w.verdict(inp, out), bool)
+        assert (residual is not None) == _is_palindromic(seq), seq.family

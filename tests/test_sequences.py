@@ -6,7 +6,6 @@ import pytest
 import oracles
 from pulsesmith.sequences import (
     FAMILIES,
-    GENERATORS,
     SINC_BRANCH_END,
     SINC_BRANCH_FLOOR,
     arcsinc,
@@ -19,6 +18,7 @@ from pulsesmith.sequences import (
     sinc,
     skinsc,
     switchback_replace,
+    synthesize,
     theta_r_from_condition,
     total_time,
 )
@@ -292,14 +292,14 @@ def test_elementary_is_its_own_target():
 def test_zero_error_exactness_over_grid(family):
     for theta in (0.1, 0.5, 1.0, PI / 2, 2.0, PI, 3.5):
         for phi in (0.0, 1.0, PI):
-            seq = GENERATORS[family](theta, phi)
+            seq = synthesize(family, theta, phi)
             assert zero_error_fidelity(seq) >= 1.0 - SEQ_FID_TOL
 
 
 @pytest.mark.parametrize("family", ["scrofulous", "scorbutus"])
 def test_palindrome_is_exact(family):
     for theta in (0.4, PI / 2, PI, 3.0):
-        seq = GENERATORS[family](theta, 0.7)
+        seq = synthesize(family, theta, 0.7)
         assert seq.pulses == tuple(reversed(seq.pulses))
 
 
@@ -314,8 +314,8 @@ def test_expected_lengths():
 def test_phase_covariance(family):
     delta = 0.7
     for theta in (PI / 2, 2.0):
-        base = GENERATORS[family](theta, 0.3)
-        shifted = GENERATORS[family](theta, 0.3 + delta)
+        base = synthesize(family, theta, 0.3)
+        shifted = synthesize(family, theta, 0.3 + delta)
         for p_base, p_shift in zip(base.pulses, shifted.pulses):
             assert p_shift.theta == p_base.theta
             gap = (p_shift.phi - p_base.phi - delta) % TWO_PI
@@ -339,7 +339,7 @@ def test_compose_with_errors_comparisons():
 def test_compose_with_errors_against_quaternion_oracle():
     # zero-error products must agree with scalar quaternion composition
     for family in FAMILIES:
-        seq = GENERATORS[family](2.0, 1.1)
+        seq = synthesize(family, 2.0, 1.1)
         reference = oracles.quat_to_matrix(
             oracles.quat_compose([(p.theta, p.phi) for p in seq.pulses])
         )
@@ -352,7 +352,7 @@ def test_batched_fidelity_matches_scalar_calls_and_quaternion_oracle():
     eps = rng.uniform(-0.25, 0.25, size=(7, 9))
     f = rng.uniform(-0.25, 0.25, size=(7, 9))
     for family in FAMILIES:
-        seq = GENERATORS[family](2.0, 1.1)
+        seq = synthesize(family, 2.0, 1.1)
         pulses = [(p.theta, p.phi) for p in seq.pulses]
         target = rotation(seq.target)
         stack = compose_with_errors(seq, ErrorPair(eps, f))
@@ -370,9 +370,17 @@ def test_batched_fidelity_matches_scalar_calls_and_quaternion_oracle():
 # ---------------------------------------------------------------- serialization
 
 
+def test_unknown_family_names_the_known_ones():
+    with pytest.raises(ValueError) as info:
+        synthesize("custom", 1.0, 0.0)
+    message = str(info.value)
+    assert "'custom'" in message
+    assert all(family in message for family in FAMILIES)
+
+
 def test_sequence_json_round_trip_is_exact():
     for family in FAMILIES:
-        seq = GENERATORS[family](2.2, 0.9)
+        seq = synthesize(family, 2.2, 0.9)
         data = sequence_to_dict(seq)
         back = sequence_from_dict(data)
         assert back == seq

@@ -7,12 +7,12 @@ import oracles
 from pulsesmith.su2 import (
     SIGMA_0,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     ErrorPair,
     Pulse,
     TWO_PI,
     compose,
-    first_order_expansion,
     frobenius_distance,
     gate_fidelity,
     matrix_from_dict,
@@ -132,6 +132,24 @@ def test_trace_collapse():
     for pulse, err in random_pulses_and_errors(rng, N_RANDOM):
         U = rotation_with_error(pulse, err)
         assert np.linalg.norm((U + U.conj().T) - np.trace(U) * SIGMA_0) <= 1e-12
+
+
+def first_order_expansion(pulse: Pulse, err: ErrorPair):
+    """Series for the deformed rotation truncated after the linear error terms:
+
+        (theta)_phi - i eps (theta n_phi . sigma/2) (theta)_phi
+                    - i f sin(theta/2) sigma_z
+
+    Not unitary in general; a cross-check oracle for rotation_with_error.
+    """
+    ideal = rotation(pulse)
+    nx, ny = math.cos(pulse.phi), math.sin(pulse.phi)
+    generator = 0.5 * pulse.theta * (nx * SIGMA_X + ny * SIGMA_Y)
+    return (
+        ideal
+        - 1j * err.epsilon * (generator @ ideal)
+        - 1j * err.f * math.sin(0.5 * pulse.theta) * SIGMA_Z
+    )
 
 
 def test_expansion_equals_rotation_at_zero_error():
