@@ -14,7 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import PulseSequence
-from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, ErrorPair, Pulse, Unitary2, rotation_with_error
+from .su2 import (
+    SIGMA_0,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    ErrorPair,
+    Pulse,
+    Unitary2,
+    _dagger,
+    _matmul,
+    rotation_with_error,
+)
 
 NORM_TOL = 1e-10
 
@@ -50,8 +61,11 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
     rho = 0.5 * (SIGMA_0 + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
-    rho = U @ rho @ np.swapaxes(U.conj(), -1, -2)
-    x, y, z = (np.trace(rho @ s, axis1=-2, axis2=-1).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    rho = _matmul(_matmul(U, rho), _dagger(U))
+    # tr(rho sx), tr(rho sy), tr(rho sz) of the Hermitian rho
+    x = 2.0 * rho[..., 1, 0].real
+    y = 2.0 * rho[..., 1, 0].imag
+    z = rho[..., 0, 0].real - rho[..., 1, 1].real
     if x.ndim == 0:
         return BlochVector(float(x), float(y), float(z))
     return BlochVector(x, y, z)
@@ -94,7 +108,7 @@ def trajectory(
     points = [TrajectoryPoint(0, 0.0, initial)]
     prefix = SIGMA_0
     for index, pulse in enumerate(seq.pulses, start=1):
-        partials = rotation_with_error(Pulse(pulse.theta * fractions, pulse.phi), err) @ prefix
+        partials = _matmul(rotation_with_error(Pulse(pulse.theta * fractions, pulse.phi), err), prefix)
         s = apply_to_state(partials, initial)
         samples = zip(fractions.tolist(), s.x.tolist(), s.y.tolist(), s.z.tolist())
         points.extend(TrajectoryPoint(index, t, BlochVector(x, y, z)) for t, x, y, z in samples)

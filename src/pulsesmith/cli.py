@@ -9,6 +9,8 @@ Subcommands:
 * ``timecompare`` - total operation time of SCORBUTUS vs SKinsC per angle.
 * ``trajectory``  - Bloch-sphere path of a state under the erroneous sequence.
 
+``pulsesmith --version`` prints the package version.
+
 Outputs are deterministic: identical invocations produce identical bytes.
 Non-finite error values and grid bounds, and malformed sequence files, are
 rejected with exit code 2, as is a ``verify`` of a sequence file whose family
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     AxisSpec,
     _is_palindromic,
@@ -286,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize and verify error-compensating composite pulse sequences.",
     )
     parser._negative_number_matcher = _VALUE_MATCHER
+    parser.add_argument("--version", action="version", version=f"pulsesmith {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="build a sequence and print its JSON")

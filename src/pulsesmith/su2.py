@@ -56,8 +56,8 @@ class ErrorPair:
 
     ``epsilon`` scales the rotation angle (pulse length error); ``f`` tilts
     the rotation axis toward z (off-resonance error). Either may be an array
-    (same shape as the other, or broadcast against a float) to describe a
-    batch of error points; every value must be finite.
+    (of a shape that broadcasts against the other, or against a float) to
+    describe a batch of error points; every value must be finite.
     """
 
     epsilon: float | np.ndarray
@@ -79,13 +79,12 @@ def _axis_angle(half_angle, mx, my, mz) -> Unitary2:
     # zero error reproduces the same bits.
     c = np.cos(half_angle)
     s = np.sin(half_angle)
-    return np.stack(
-        [
-            np.stack([c - 1j * s * mz, -1j * s * (mx - 1j * my)], axis=-1),
-            np.stack([-1j * s * (mx + 1j * my), c + 1j * s * mz], axis=-1),
-        ],
-        axis=-2,
-    )
+    out = np.empty(np.broadcast(c, mx, my, mz).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c - 1j * s * mz
+    out[..., 0, 1] = -1j * s * (mx - 1j * my)
+    out[..., 1, 0] = -1j * s * (mx + 1j * my)
+    out[..., 1, 1] = c + 1j * s * mz
+    return out
 
 
 def rotation(pulse: Pulse) -> Unitary2:
@@ -108,6 +107,20 @@ def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
     return _axis_angle(0.5 * angle, nx / nrm, ny / nrm, err.f / nrm)
 
 
+def _matmul(a: Unitary2, b: Unitary2) -> Unitary2:
+    # a @ b over broadcast (..., 2, 2) stacks, written out entry by entry:
+    # numpy's matmul makes one BLAS call per 2x2 matrix, which on a stack of
+    # a few thousand costs about ten times these whole-stack operations
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
 def compose(matrices: list[Unitary2]) -> Unitary2:
     """Product of unitaries given in application order (index 0 acts first),
     i.e. U_k ... U_1 as a matrix product; stacks multiply elementwise."""
@@ -115,7 +128,7 @@ def compose(matrices: list[Unitary2]) -> Unitary2:
         raise ValueError("empty sequence")
     acc = matrices[0]
     for u in matrices[1:]:
-        acc = u @ acc
+        acc = _matmul(u, acc)
     return acc
 
 
@@ -124,8 +137,20 @@ def _dagger(U: Unitary2) -> Unitary2:
 
 
 def unitarity_defect(U: Unitary2) -> float | np.ndarray:
-    """Frobenius norm of U†U - I; an array of them for a stack."""
-    defect = np.linalg.norm(_dagger(U) @ U - SIGMA_0, axis=(-2, -1))
+    """Frobenius norm of U†U - I; an array of them for a stack.
+
+    U†U holds the squared column norms on its diagonal and the inner product
+    of the two columns (and its conjugate) off it, so the norm is taken from
+    those. A NaN or infinite entry gives a NaN or infinite defect.
+    """
+    squares = U.real * U.real + U.imag * U.imag
+    norms = squares[..., 0, :] + squares[..., 1, :]
+    overlap = U[..., 0, 0].conj() * U[..., 0, 1] + U[..., 1, 0].conj() * U[..., 1, 1]
+    diagonal = (norms - 1.0) ** 2
+    defect = np.sqrt(
+        diagonal[..., 0] + diagonal[..., 1]
+        + 2.0 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
+    )
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -140,7 +165,7 @@ def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
     for operand in (U, V):
         if not np.all(unitarity_defect(operand) <= UNITARITY_TOL):
             raise ValueError("non-unitary operand")
-    trace = np.trace(_dagger(U) @ V, axis1=-2, axis2=-1)
+    trace = (U.conj() * V).sum(axis=(-2, -1))
     # hypot rounds like Python's complex abs, which numpy's abs does not
     fidelity = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)
     return float(fidelity) if fidelity.ndim == 0 else fidelity

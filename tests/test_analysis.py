@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pulsesmith import analysis
 from pulsesmith.analysis import (
+    GRID_BLOCK_POINTS,
     AxisSpec,
     alpha_coefficient,
     fidelity_grid,
@@ -18,6 +21,7 @@ from pulsesmith.analysis import (
 )
 from pulsesmith.sequences import (
     PulseSequence,
+    compose_with_errors,
     elementary,
     scorbutus,
     scrofulous,
@@ -25,7 +29,7 @@ from pulsesmith.sequences import (
     switchback_replace,
     theta_r_from_condition,
 )
-from pulsesmith.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, Pulse, rotation
+from pulsesmith.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ErrorPair, Pulse, gate_fidelity, rotation
 
 PI = math.pi
 T_VALUES = [float(t) for t in np.logspace(-3.0, -1.5, 13)]
@@ -284,6 +288,47 @@ def test_fidelity_grid_deterministic_across_workers():
     reference = fidelity_grid(seq, axis, axis)
     again = fidelity_grid(seq, axis, axis)
     assert reference.values.tobytes() == again.values.tobytes()
+
+
+def _row_loop_grid(seq, eps_axis, f_axis):
+    target = rotation(seq.target)
+    eps_points = eps_axis.points()
+    return np.array(
+        [gate_fidelity(compose_with_errors(seq, ErrorPair(eps_points, f)), target) for f in f_axis.points()]
+    )
+
+
+@pytest.mark.parametrize(
+    "eps_count, f_count, block_points",
+    [
+        (3, 37, GRID_BLOCK_POINTS),  # one block
+        (101, 37, GRID_BLOCK_POINTS),  # blocks of 20 and 17 rows
+        (3, 37, 8),  # blocks of 2 rows, the last one a single row
+        (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS),  # above the budget: one row per block
+    ],
+)
+def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, block_points, monkeypatch):
+    monkeypatch.setattr(analysis, "GRID_BLOCK_POINTS", block_points)
+    eps_axis = AxisSpec(-0.25, 0.2, eps_count)
+    f_axis = AxisSpec(-0.2, 0.25, f_count)
+    for seq in (scorbutus(1.1, 0.3), skinsc(2.0, 5.0)):
+        grid = fidelity_grid(seq, eps_axis, f_axis)
+        assert grid.values.shape == (f_count, eps_count)
+        assert grid.values.tobytes() == _row_loop_grid(seq, eps_axis, f_axis).tobytes()
+
+
+def test_non_square_grid_serialises_f_slowest_as_before():
+    eps_axis = AxisSpec(-0.1, 0.2, 5)
+    f_axis = AxisSpec(-0.25, 0.05, 7)
+    grid = fidelity_grid(scrofulous(1.7, 0.9), eps_axis, f_axis)
+    assert grid.values.shape == (7, 5)
+    lines = ["epsilon,f,fidelity"]
+    for i, f in enumerate(f_axis.points()):
+        for j, e in enumerate(eps_axis.points()):
+            lines.append(f"{e:.17g},{f:.17g},{grid.values[i, j]:.17g}")
+    assert grid_to_csv(grid) == "\n".join(lines) + "\n"
+    values = [[float(v) for v in row] for row in grid.values]
+    assert json.dumps(grid.to_dict()["values"]) == json.dumps(values)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulsesmith
 from pulsesmith import cli
 from pulsesmith.cli import AngleExpr, main, parse_axis_spec, parse_bloch_vector
 from pulsesmith.sequences import FAMILY_SPECS
@@ -393,3 +395,15 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["synth"]) == 2
     capsys.readouterr()
+
+
+def test_version_flag(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"pulsesmith {pulsesmith.__version__}\n"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert pulsesmith.__version__ == tomllib.load(handle)["project"]["version"]

@@ -12,6 +12,7 @@ from pulsesmith.su2 import (
     ErrorPair,
     Pulse,
     TWO_PI,
+    _matmul,
     compose,
     frobenius_distance,
     gate_fidelity,
@@ -20,6 +21,7 @@ from pulsesmith.su2 import (
     normalize_phase,
     rotation,
     rotation_with_error,
+    unitarity_defect,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -32,6 +34,15 @@ PLE_OFFDIAG_IM = -0.9876883405951377
 # frozen from expm of the f = 0.1 deformation of (pi)_0
 ORE_U00 = -0.0078343641011488 - 0.09950066534128167j
 ORE_U01 = -0.9950066534128167j
+
+
+def random_su2(rng, shape):
+    """Haar-uniform SU(2) matrices [[a, -conj(b)], [b, conj(a)]] over a shape."""
+    q = rng.normal(size=shape + (4,))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    a = q[..., 0] + 1j * q[..., 1]
+    b = q[..., 2] + 1j * q[..., 3]
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
 
 
 def random_pulses_and_errors(rng, n):
@@ -246,6 +257,46 @@ def test_gate_fidelity_rejects_one_non_unitary_matrix_in_a_stack():
             gate_fidelity(broken, target)
         with pytest.raises(ValueError, match="non-unitary operand"):
             gate_fidelity(target, broken)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_matmul_kernel_matches_numpy_matmul(shape):
+    rng = np.random.default_rng(11)
+    a = random_su2(rng, shape)
+    b = random_su2(rng, shape)
+    single = random_su2(rng, ())
+    for left, right in ((a, b), (a, single), (single, a)):
+        product = _matmul(left, right)
+        assert product.shape == (left @ right).shape
+        assert np.max(np.abs(product - left @ right)) <= 1e-15
+
+
+def test_unitarity_defect_closed_form_matches_frobenius_norm():
+    rng = np.random.default_rng(12)
+    unitary = random_su2(rng, (4, 25))
+    scaled = rng.uniform(0.5, 1.5, (4, 25))[..., np.newaxis, np.newaxis] * unitary
+    # non-orthogonal columns, so the off-diagonal term counts
+    skewed = unitary + 1e-3 * random_su2(rng, (4, 25)) @ np.array([[1.0, 1.0], [0.0, 1.0]])
+    for U in (unitary, scaled, skewed, unitary[0, 0], scaled[0, 0], skewed[0, 0]):
+        brute = np.linalg.norm(np.swapaxes(U.conj(), -1, -2) @ U - SIGMA_0, axis=(-2, -1))
+        assert np.max(np.abs(unitarity_defect(U) - brute)) <= 1e-15
+    assert isinstance(unitarity_defect(unitary[0, 0]), float)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_gate_fidelity_rejects_a_non_finite_entry_anywhere_in_a_stack():
+    stack = rotation_with_error(
+        Pulse(1.3, 0.4), ErrorPair(np.linspace(-0.2, 0.2, 4), np.linspace(-0.1, 0.1, 3)[:, np.newaxis])
+    )
+    target = rotation(Pulse(1.3, 0.4))
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 0.0)):
+        for index in np.ndindex(stack.shape):
+            broken = stack.copy()
+            broken[index] = bad
+            with pytest.raises(ValueError, match="non-unitary operand"):
+                gate_fidelity(broken, target)
+            with pytest.raises(ValueError, match="non-unitary operand"):
+                gate_fidelity(target, broken)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
