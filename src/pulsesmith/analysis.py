@@ -17,15 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import PulseSequence, compose_with_errors, scorbutus, skinsc, total_time
-from .su2 import SIGMA_0, ErrorPair, Pulse, Unitary2, _dagger, _matmul, gate_fidelity, rotation
+from .sequences import PulseSequence, _sequence_pair, compose_with_errors, scorbutus, skinsc, total_time
+from .su2 import (
+    NO_ERROR,
+    ErrorPair,
+    Pulse,
+    Unitary2,
+    _pair_fidelity,
+    _pair_product,
+    _rotation_pair,
+)
 
 INFIDELITY_FLOOR = 1e-14
 FD_STEP = 1e-5
 GRID_BLOCK_POINTS = 2048
 """Error points :func:`fidelity_grid` evaluates per batched call (whole f
 rows, at least one): enough to amortise numpy's per-call cost, few enough
-that the intermediate matrix stacks stay small."""
+that the intermediate stacks stay small."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,8 @@ def infidelity_ray(
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
     t = np.asarray(t_values, dtype=float)
     err = ErrorPair(t * d_eps, t * d_f)
-    return (1.0 - gate_fidelity(compose_with_errors(seq, err), rotation(seq.target))).tolist()
+    target = _rotation_pair(seq.target, NO_ERROR)
+    return (1.0 - _pair_fidelity(_sequence_pair(seq, err), target)).tolist()
 
 
 def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float, float]:
@@ -208,15 +217,15 @@ def alpha_coefficient(seq: PulseSequence, i: int) -> float:
     k = len(half)
     if not 1 <= i <= k - 1:
         raise ValueError(f"pair index {i} outside 1..{k - 1}")
-    rotations = [rotation(p) for p in half]
-    v = SIGMA_0
-    for j in range(i - 1):
-        v = _matmul(v, _dagger(rotations[j]))
-    for j in range(i, k):
-        v = _matmul(v, rotations[j])
-    for j in range(k - 2, -1, -1):
-        v = _matmul(v, rotations[j])
-    return float((v[0, 0] + v[1, 1]).real)
+    rotations = [_rotation_pair(p, NO_ERROR) for p in half]
+    # (a*, -b) is the inverse U^dagger of a special unitary
+    inverses = [(a.conj(), -b) for a, b in rotations[: i - 1]]
+    factors = inverses + rotations[i:] + rotations[-2::-1]
+    v = factors[0]
+    for factor in factors[1:]:
+        v = _pair_product(v, factor)
+    # tr [[a, -b*], [b, a*]] = 2 Re a
+    return 2.0 * float(v[0].real)
 
 
 def symmetric_ore_residual(seq: PulseSequence) -> OreResidualReport:
@@ -242,10 +251,10 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     """
     eps_points = eps_axis.points()
     f_points = f_axis.points()[:, np.newaxis]
-    target = rotation(seq.target)
+    target = _rotation_pair(seq.target, NO_ERROR)
     rows_per_block = max(1, GRID_BLOCK_POINTS // eps_axis.count)
     blocks = [
-        gate_fidelity(compose_with_errors(seq, ErrorPair(eps_points, f_block)), target)
+        _pair_fidelity(_sequence_pair(seq, ErrorPair(eps_points, f_block)), target)
         for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
     ]
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.concatenate(blocks))

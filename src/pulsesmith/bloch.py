@@ -24,7 +24,8 @@ from .su2 import (
     Unitary2,
     _dagger,
     _matmul,
-    rotation_with_error,
+    _pair_product,
+    _rotation_pair,
 )
 
 NORM_TOL = 1e-10
@@ -71,6 +72,20 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     return BlochVector(x, y, z)
 
 
+def _turn(pair, r: BlochVector):
+    # r turned by the Cayley-Klein pair (a, b) = (w - i qz, qy - i qx) of
+    # w I - i q.sigma: (w^2 - |q|^2) r + 2 w (q x r) + 2 (q . r) q
+    a, b = pair
+    w, qx, qy, qz = a.real, -b.imag, b.real, -a.imag
+    dot = qx * r.x + qy * r.y + qz * r.z
+    scale = w * w - (qx * qx + qy * qy + qz * qz)
+    return (
+        scale * r.x + 2.0 * (w * (qy * r.z - qz * r.y) + dot * qx),
+        scale * r.y + 2.0 * (w * (qz * r.x - qx * r.z) + dot * qy),
+        scale * r.z + 2.0 * (w * (qx * r.y - qy * r.x) + dot * qz),
+    )
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     pulse_index: int  # 1-based; index 0 marks the initial state
@@ -106,13 +121,15 @@ def trajectory(
     m = samples_per_pulse
     fractions = np.arange(1, m + 1) / m
     points = [TrajectoryPoint(0, 0.0, initial)]
-    prefix = SIGMA_0
+    prefix = None
     for index, pulse in enumerate(seq.pulses, start=1):
-        partials = _matmul(rotation_with_error(Pulse(pulse.theta * fractions, pulse.phi), err), prefix)
-        s = apply_to_state(partials, initial)
-        samples = zip(fractions.tolist(), s.x.tolist(), s.y.tolist(), s.z.tolist())
+        partials = _rotation_pair(Pulse(pulse.theta * fractions, pulse.phi), err)
+        if prefix is not None:
+            partials = _pair_product(partials, prefix)
+        x, y, z = _turn(partials, initial)
+        samples = zip(fractions.tolist(), x.tolist(), y.tolist(), z.tolist())
         points.extend(TrajectoryPoint(index, t, BlochVector(x, y, z)) for t, x, y, z in samples)
-        prefix = partials[-1]
+        prefix = (partials[0][-1], partials[1][-1])
     return Trajectory(seq.family, seq.target, err, m, tuple(points))
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, compose, rotation_with_error
+from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, _pair_matrix, _pair_product, _rotation_pair
 
 BISECT_MAX_ITER = 200
 BISECT_X_TOL = 1e-15
@@ -222,10 +222,22 @@ def total_time(seq: PulseSequence) -> float:
     return math.fsum(p.theta for p in seq.pulses)
 
 
+def _sequence_pair(seq: PulseSequence, err: ErrorPair):
+    # Cayley-Klein pair of the whole sequence, every pulse deformed by err;
+    # the product runs in application order, later pulses on the left
+    if not seq.pulses:
+        raise ValueError("empty sequence")
+    first, *rest = seq.pulses
+    acc = _rotation_pair(first, err)
+    for p in rest:
+        acc = _pair_product(_rotation_pair(p, err), acc)
+    return acc
+
+
 def compose_with_errors(seq: PulseSequence, err: ErrorPair) -> Unitary2:
     """Matrix of the whole sequence with every pulse deformed by the same
     error pair."""
-    return compose([rotation_with_error(p, err) for p in seq.pulses])
+    return _pair_matrix(_sequence_pair(seq, err))
 
 
 def sequence_to_dict(seq: PulseSequence) -> dict:

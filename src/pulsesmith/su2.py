@@ -2,10 +2,19 @@
 
 Rotations about axes in the xy plane, their error-deformed counterparts,
 products over pulse sequences, and the fidelity/distance metrics used to
-compare them. Matrices are plain 2x2 complex numpy arrays. The rotation,
-product and fidelity functions broadcast: given a pulse angle or error
-fields that are arrays, they work on (..., 2, 2) stacks, one matrix per
-element, so that a sweep over errors is one call instead of a loop.
+compare them.
+
+Every gate the package builds is special unitary, U = [[a, -b*], [b, a*]],
+so inside the package a gate travels as its Cayley-Klein pair (a, b) of
+complex values or arrays: the pair product, the pair fidelity and the pair
+unitarity guard below are closed forms on two arrays instead of four matrix
+entries. Matrices, plain (..., 2, 2) complex numpy arrays, appear only at
+the public boundary: :func:`rotation` and :func:`rotation_with_error` build
+theirs once from the pair, and :func:`compose`, :func:`gate_fidelity`,
+:func:`unitarity_defect` (and ``bloch.apply_to_state``) accept any 2x2
+unitary, global phase included. Everything broadcasts: given a pulse angle
+or error fields that are arrays, it works on a stack, one gate per element,
+so that a sweep over errors is one call instead of a loop.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 Unitary2 = np.ndarray
-"""A 2x2 complex matrix, or a (..., 2, 2) stack of them; everything below
-produces and consumes these."""
+"""A 2x2 complex matrix, or a (..., 2, 2) stack of them: what the public
+rotation, product and fidelity functions below produce and consume."""
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,23 +82,65 @@ class ErrorPair:
 NO_ERROR = ErrorPair(0.0, 0.0)
 
 
-def _axis_angle(half_angle, mx, my, mz) -> Unitary2:
-    # cos(a) I - i sin(a) m.sigma for a unit axis m, elementwise over
-    # broadcast arguments; shared by the exact and error-free paths so that
-    # zero error reproduces the same bits.
-    c = np.cos(half_angle)
-    s = np.sin(half_angle)
-    out = np.empty(np.broadcast(c, mx, my, mz).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c - 1j * s * mz
-    out[..., 0, 1] = -1j * s * (mx - 1j * my)
-    out[..., 1, 0] = -1j * s * (mx + 1j * my)
-    out[..., 1, 1] = c + 1j * s * mz
+def _rotation_pair(pulse: Pulse, err: ErrorPair):
+    # Cayley-Klein pair of cos(h) I - i sin(h) m.sigma for the deformed
+    # rotation's half angle h and unit axis m, elementwise over broadcast
+    # arguments. At zero error nrm is exactly 1, so the ideal rotation gets
+    # the same bits through this one path.
+    nrm = np.sqrt(1.0 + err.f * err.f)
+    half = 0.5 * (pulse.theta * (1.0 + err.epsilon) * nrm)
+    s = np.sin(half)
+    mx, my, mz = math.cos(pulse.phi) / nrm, math.sin(pulse.phi) / nrm, err.f / nrm
+    return np.cos(half) - 1j * (s * mz), s * my - 1j * (s * mx)
+
+
+def _pair_matrix(pair) -> Unitary2:
+    # [[a, -b*], [b, a*]] over the broadcast shape of the pair; the negated
+    # parts are written as 0 - x, so that a zero comes out as +0 (a -0 would
+    # print as "-0.0" in matrix JSON)
+    a, b = pair
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)) + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 1, 0] = b
+    out.real[..., 0, 1] = 0.0 - b.real
+    out.imag[..., 0, 1] = b.imag
+    out.real[..., 1, 1] = a.real
+    out.imag[..., 1, 1] = 0.0 - a.imag
     return out
+
+
+def _pair_product(left, right):
+    # pair of the matrix product L R: 4 complex products instead of 8
+    a1, b1 = left
+    a2, b2 = right
+    return a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
+
+
+def _pair_defect(pair):
+    # unitarity_defect of the pair's matrix: its columns are orthogonal by
+    # construction and both have squared norm |a|^2 + |b|^2. Squares and
+    # sums only, so a NaN or infinite component gives a NaN or infinite
+    # defect without an invalid-value warning.
+    a, b = pair
+    norm = a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)
+    return math.sqrt(2.0) * np.abs(norm - 1.0)
+
+
+def _pair_fidelity(pair, target):
+    # gate_fidelity of the two pairs' matrices, with the pair guard:
+    # tr(U^dagger V) = 2 Re(a* c + b* d) is real for special unitaries. Taken
+    # through numpy's complex products, which round like gate_fidelity's
+    # entrywise ones, so both give the same bits.
+    for operand in (pair, target):
+        if not np.all(_pair_defect(operand) <= UNITARITY_TOL):
+            raise ValueError("non-unitary operand")
+    (a, b), (c, d) = pair, target
+    return np.minimum(1.0, np.abs((c.conj() * a + d.conj() * b).real))
 
 
 def rotation(pulse: Pulse) -> Unitary2:
     """Ideal rotation cos(theta/2) I - i sin(theta/2) (cos phi sx + sin phi sy)."""
-    return _axis_angle(0.5 * pulse.theta, math.cos(pulse.phi), math.sin(pulse.phi), 0.0)
+    return _pair_matrix(_rotation_pair(pulse, NO_ERROR))
 
 
 def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
@@ -101,10 +152,7 @@ def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
     error. An array ``pulse.theta`` or array error fields give the stack of
     rotations over their broadcast shape.
     """
-    nx, ny = math.cos(pulse.phi), math.sin(pulse.phi)
-    nrm = np.sqrt(1.0 + err.f * err.f)
-    angle = pulse.theta * (1.0 + err.epsilon) * nrm
-    return _axis_angle(0.5 * angle, nx / nrm, ny / nrm, err.f / nrm)
+    return _pair_matrix(_rotation_pair(pulse, err))
 
 
 def _matmul(a: Unitary2, b: Unitary2) -> Unitary2:
@@ -141,11 +189,15 @@ def unitarity_defect(U: Unitary2) -> float | np.ndarray:
 
     U†U holds the squared column norms on its diagonal and the inner product
     of the two columns (and its conjugate) off it, so the norm is taken from
-    those. A NaN or infinite entry gives a NaN or infinite defect.
+    those. A NaN or infinite entry gives a NaN or infinite defect, without a
+    warning.
     """
     squares = U.real * U.real + U.imag * U.imag
     norms = squares[..., 0, :] + squares[..., 1, :]
-    overlap = U[..., 0, 0].conj() * U[..., 0, 1] + U[..., 1, 0].conj() * U[..., 1, 1]
+    # an infinite entry makes the overlap inf * 0 or inf - inf, a NaN that
+    # only joins the infinite norm already in the defect
+    with np.errstate(invalid="ignore"):
+        overlap = U[..., 0, 0].conj() * U[..., 0, 1] + U[..., 1, 0].conj() * U[..., 1, 1]
     diagonal = (norms - 1.0) ** 2
     defect = np.sqrt(
         diagonal[..., 0] + diagonal[..., 1]

@@ -70,6 +70,14 @@ def quat_rotate(q, r):
     return tuple(scale * r[i] + 2.0 * a * cross[i] + 2.0 * dot * b[i] for i in range(3))
 
 
+def quat_fidelity(q, target):
+    """|tr(T^dagger U)| / 2 of the gates a I - i b.sigma, which is the
+    quaternion dot product |a ta + b . tb|, clamped to 1."""
+    a, b = q
+    ta, tb = target
+    return min(1.0, abs(a * ta + b[0] * tb[0] + b[1] * tb[1] + b[2] * tb[2]))
+
+
 def quat_to_matrix(q):
     a, (bx, by, bz) = q
     return a * ID - 1j * (bx * SX + by * SY + bz * SZ)

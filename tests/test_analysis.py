@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from pulsesmith import analysis
 from pulsesmith.analysis import (
     GRID_BLOCK_POINTS,
@@ -20,6 +21,7 @@ from pulsesmith.analysis import (
     time_compare_to_csv,
 )
 from pulsesmith.sequences import (
+    FAMILIES,
     PulseSequence,
     compose_with_errors,
     elementary,
@@ -27,6 +29,7 @@ from pulsesmith.sequences import (
     scrofulous,
     skinsc,
     switchback_replace,
+    synthesize,
     theta_r_from_condition,
 )
 from pulsesmith.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ErrorPair, Pulse, gate_fidelity, rotation
@@ -315,6 +318,22 @@ def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, b
         grid = fidelity_grid(seq, eps_axis, f_axis)
         assert grid.values.shape == (f_count, eps_count)
         assert grid.values.tobytes() == _row_loop_grid(seq, eps_axis, f_axis).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_default_grid_stays_within_1e_15_of_the_quaternion_oracle(family):
+    # the numerics gate of the pair kernel: the largest deviation over the
+    # whole default grid at theta = pi/2 is 7.8e-16 (scorbutus, skinsc)
+    axis = AxisSpec(-0.25, 0.25, 101)
+    seq = synthesize(family, PI / 2, 0.0)
+    grid = fidelity_grid(seq, axis, axis)
+    points = np.linspace(-0.25, 0.25, 101)
+    pulses = [(p.theta, p.phi) for p in seq.pulses]
+    target = oracles.quat_of_pulse(PI / 2, 0.0)
+    rng = np.random.default_rng(61)
+    for i, j in rng.integers(0, 101, size=(1000, 2)):
+        expected = oracles.quat_fidelity(oracles.quat_compose(pulses, points[j], points[i]), target)
+        assert abs(grid.values[i, j] - expected) <= 1e-15
 
 
 def test_non_square_grid_serialises_f_slowest_as_before():

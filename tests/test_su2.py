@@ -2,17 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+from pulsesmith.sequences import PulseSequence, _sequence_pair
 from pulsesmith.su2 import (
+    NO_ERROR,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    UNITARITY_TOL,
     ErrorPair,
     Pulse,
     TWO_PI,
     _matmul,
+    _pair_defect,
+    _pair_fidelity,
+    _rotation_pair,
     compose,
     frobenius_distance,
     gate_fidelity,
@@ -283,7 +292,6 @@ def test_unitarity_defect_closed_form_matches_frobenius_norm():
     assert isinstance(unitarity_defect(unitary[0, 0]), float)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_gate_fidelity_rejects_a_non_finite_entry_anywhere_in_a_stack():
     stack = rotation_with_error(
         Pulse(1.3, 0.4), ErrorPair(np.linspace(-0.2, 0.2, 4), np.linspace(-0.1, 0.1, 3)[:, np.newaxis])
@@ -319,3 +327,80 @@ def test_matrix_json_round_trip():
     U = rotation_with_error(Pulse(2.2, 0.4), ErrorPair(0.02, -0.3))
     V = matrix_from_dict(matrix_to_dict(U))
     assert np.array_equal(U, V)
+
+
+# ------------------------------------------------------------ pair kernel
+# Inside the package a gate is its Cayley-Klein pair (a, b), the first column
+# of [[a, -b*], [b, a*]]; these properties tie the pair arithmetic to the
+# quaternion oracle and the pair guard to the matrix guard.
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+STACK_SHAPES = st.sampled_from([(), (1,), (7,), (3, 4)])
+ANGLES = st.floats(0.0, TWO_PI)
+PULSE_LISTS = st.lists(st.tuples(ANGLES, st.floats(-TWO_PI, 2 * TWO_PI)), min_size=1, max_size=6)
+
+
+def error_stacks(shape):
+    errors = hnp.arrays(np.float64, shape, elements=st.floats(-0.5, 0.5))
+    return st.tuples(errors, errors)
+
+
+def pair_as_matrix(a, b):
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+@PROPERTY_SETTINGS
+@given(
+    pulses=PULSE_LISTS,
+    target=st.tuples(ANGLES, ANGLES, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    data=st.data(),
+    shape=STACK_SHAPES,
+)
+def test_pair_compose_and_fidelity_match_the_quaternion_oracle(pulses, target, data, shape):
+    eps, f = data.draw(error_stacks(shape))
+    theta, phi, target_eps, target_f = target
+    seq = PulseSequence(tuple(Pulse(t, p) for t, p in pulses), Pulse(theta, phi), "custom")
+    a, b = _sequence_pair(seq, ErrorPair(eps, f))
+    # a deformed target, so that neither of its components is real
+    fidelity = _pair_fidelity((a, b), _rotation_pair(seq.target, ErrorPair(target_eps, target_f)))
+    assert np.shape(a) == np.shape(b) == np.shape(fidelity) == shape
+    reference_target = oracles.quat_of_pulse(*target)
+    for index in np.ndindex(shape):
+        q = oracles.quat_compose(pulses, float(eps[index]), float(f[index]))
+        got = pair_as_matrix(a[index], b[index])
+        assert frobenius_distance(got, oracles.quat_to_matrix(q)) < ALGEBRA_TOL
+        assert abs(fidelity[index] - oracles.quat_fidelity(q, reference_target)) < ALGEBRA_TOL
+
+
+@PROPERTY_SETTINGS
+@given(
+    q=hnp.arrays(np.float64, (5, 4), elements=st.floats(-1.0, 1.0)).filter(
+        lambda q: np.all(np.linalg.norm(q, axis=-1) > 1e-3)
+    ),
+    scale=hnp.arrays(np.float64, (5,), elements=st.floats(0.5, 1.5)),
+)
+def test_pair_guard_equals_the_defect_of_the_pair_matrix(q, scale):
+    q = scale[:, np.newaxis] * q / np.linalg.norm(q, axis=-1, keepdims=True)
+    a = q[:, 0] + 1j * q[:, 1]
+    b = q[:, 2] + 1j * q[:, 3]
+    matrices = np.moveaxis(pair_as_matrix(a, b), -1, 0)
+    assert np.max(np.abs(_pair_defect((a, b)) - unitarity_defect(matrices))) <= 1e-15
+    for k in range(5):
+        assert abs(_pair_defect((a[k], b[k])) - unitarity_defect(matrices[k])) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", range(4))
+def test_pair_guard_fails_for_a_non_finite_component(bad, part):
+    pair = _rotation_pair(Pulse(1.3, 0.4), ErrorPair(np.linspace(-0.2, 0.2, 5), 0.1))
+    broken = np.stack(pair)
+    view = broken.view(float).reshape(2, 5, 2)  # (a or b, stack, real or imag)
+    view[part // 2, 3, part % 2] = bad
+    broken_pair = (broken[0], broken[1])
+    assert not _pair_defect(broken_pair)[3] <= UNITARITY_TOL
+    assert np.all(_pair_defect(broken_pair)[[0, 1, 2, 4]] <= UNITARITY_TOL)
+    target = _rotation_pair(Pulse(1.3, 0.4), NO_ERROR)
+    with pytest.raises(ValueError, match="non-unitary operand"):
+        _pair_fidelity(broken_pair, target)
+    with pytest.raises(ValueError, match="non-unitary operand"):
+        _pair_fidelity(target, broken_pair)
