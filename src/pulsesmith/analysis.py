@@ -262,13 +262,19 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
 
 def grid_to_csv(grid: FidelityGrid) -> str:
     """CSV with header epsilon,f,fidelity; f varies slowest. Floats carry 17
-    significant digits so the values round-trip."""
-    lines = ["epsilon,f,fidelity"]
+    significant digits so the values round-trip.
+
+    Formatting the fidelities is nearly all of the cost, so each f row is
+    one ``%`` call: a row template holds the row's epsilon and f texts
+    (each formatted once) around one ``%.17g`` per fidelity, which gives
+    the same bytes as ``:.17g``.
+    """
     eps_texts = [f"{e:.17g}" for e in grid.eps_axis.points().tolist()]
+    parts = ["epsilon,f,fidelity\n"]
     for f, row in zip(grid.f_axis.points().tolist(), grid.values.tolist()):
-        f_text = f"{f:.17g}"
-        lines.extend(f"{e},{f_text},{v:.17g}" for e, v in zip(eps_texts, row))
-    return "\n".join(lines) + "\n"
+        sep = f",{f:.17g},%.17g\n"
+        parts.append((sep.join(eps_texts) + sep) % tuple(row))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ Subcommands:
 ``pulsesmith --version`` prints the package version.
 
 Outputs are deterministic: identical invocations produce identical bytes.
-Non-finite error values and grid bounds, and malformed sequence files, are
-rejected with exit code 2, as is a ``verify`` of a sequence file whose family
-has no entry in ``sequences.FAMILY_SPECS`` (``grid`` and ``trajectory`` take
-any family label).
+Non-finite angles, error values and grid bounds, and malformed sequence
+files, are rejected with exit code 2, as is a ``verify`` of a sequence file
+whose family has no entry in ``sequences.FAMILY_SPECS`` (``grid`` and
+``trajectory`` take any family label).
 """
 
 from __future__ import annotations
@@ -93,13 +93,16 @@ class AngleExpr:
                 if b == 0.0:
                     raise ValueError(f"angle {text!r} divides by zero")
                 value /= b
-            return cls(s, value)
-        try:
-            return cls(s, float(s))
-        except ValueError:
-            raise ValueError(
-                f"cannot parse angle {text!r}; use a decimal or pi, 2pi, pi/2, 3pi/4"
-            ) from None
+        else:
+            try:
+                value = float(s)
+            except ValueError:
+                raise ValueError(
+                    f"cannot parse angle {text!r}; use a decimal or pi, 2pi, pi/2, 3pi/4"
+                ) from None
+        if not math.isfinite(value):
+            raise ValueError(f"angle {text!r} must be finite")
+        return cls(s, value)
 
     @staticmethod
     def format(value: float) -> str:

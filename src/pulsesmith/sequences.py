@@ -95,7 +95,9 @@ def scrofulous(theta: float, phi: float) -> PulseSequence:
     """
     _require_target_angle("scrofulous", theta)
     theta1 = arcsinc(2.0 * math.cos(0.5 * theta) / math.pi)
-    a1 = -math.pi * math.cos(theta1) / (2.0 * theta1 * math.sin(0.5 * theta))
+    s = math.sin(0.5 * theta)
+    # a target angle of a few subnormals has s == 0: the argument diverges
+    a1 = -math.pi * math.cos(theta1) / (2.0 * theta1 * s) if s else -math.inf
     if not -1.0 <= a1 <= 1.0:
         raise ValueError(
             f"scrofulous: arccos argument {a1!r} for phi_1 outside [-1, 1]"
@@ -224,13 +226,20 @@ def total_time(seq: PulseSequence) -> float:
 
 def _sequence_pair(seq: PulseSequence, err: ErrorPair):
     # Cayley-Klein pair of the whole sequence, every pulse deformed by err;
-    # the product runs in application order, later pulses on the left
+    # the product runs in application order, later pulses on the left.
+    # Families repeat pulses (scorbutus has 3 distinct of 5), so each
+    # distinct pulse is rotated once per call. The key carries the sign of
+    # theta, because Pulse(0.0, phi) == Pulse(-0.0, phi) but their pairs can
+    # differ in the sign of a zero.
     if not seq.pulses:
         raise ValueError("empty sequence")
-    first, *rest = seq.pulses
-    acc = _rotation_pair(first, err)
-    for p in rest:
-        acc = _pair_product(_rotation_pair(p, err), acc)
+    pairs = {}
+    acc = None
+    for p in seq.pulses:
+        key = (p, math.copysign(1.0, p.theta))
+        if key not in pairs:
+            pairs[key] = _rotation_pair(p, err)
+        acc = pairs[key] if acc is None else _pair_product(pairs[key], acc)
     return acc
 
 

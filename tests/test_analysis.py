@@ -9,6 +9,7 @@ from pulsesmith import analysis
 from pulsesmith.analysis import (
     GRID_BLOCK_POINTS,
     AxisSpec,
+    FidelityGrid,
     alpha_coefficient,
     fidelity_grid,
     first_order_coefficient,
@@ -348,6 +349,33 @@ def test_non_square_grid_serialises_f_slowest_as_before():
     assert grid_to_csv(grid) == "\n".join(lines) + "\n"
     values = [[float(v) for v in row] for row in grid.values]
     assert json.dumps(grid.to_dict()["values"]) == json.dumps(values)
+
+
+# 0.0 and -0.0, the smallest subnormal, a tiny normal, an inexact decimal,
+# an exact one and a NaN: each prints differently under %.17g
+CSV_VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0, math.nan]
+
+
+@pytest.mark.parametrize("eps_axis, f_axis", [
+    (AxisSpec(0.25, -0.0, 2), AxisSpec(-0.1, 0.1, 2)),
+    (AxisSpec(0.0, 1e-300, 2), AxisSpec(0.3, -0.0, 5)),
+    (AxisSpec(-0.1, 0.2, 4), AxisSpec(-0.25, -0.0, 3)),
+])
+def test_grid_csv_bytes_equal_the_per_line_reference(eps_axis, f_axis):
+    shape = (f_axis.count, eps_axis.count)
+    values = np.resize(np.array(CSV_VALUES), shape)
+    grid = FidelityGrid(Pulse(PI, 0.0), "custom", eps_axis, f_axis, values)
+    reference = "\n".join([
+        "epsilon,f,fidelity",
+        *(
+            f"{e:.17g},{f:.17g},{v:.17g}"
+            for f, row in zip(f_axis.points().tolist(), values.tolist())
+            for e, v in zip(eps_axis.points().tolist(), row)
+        ),
+    ]) + "\n"
+    assert grid_to_csv(grid) == reference
+    # linspace keeps the sign of a zero stop, so an axis holds -0.0
+    assert "-0," in reference
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

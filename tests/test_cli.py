@@ -39,6 +39,12 @@ def test_angle_expr_rejects_garbage(bad):
         AngleExpr.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "-1e400", "9" * 400 + "pi"])
+def test_angle_expr_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        AngleExpr.parse(bad)
+
+
 def test_axis_spec_parsing():
     spec = parse_axis_spec("-0.25:0.25:101")
     assert (spec.start, spec.stop, spec.count) == (-0.25, 0.25, 101)
@@ -78,6 +84,13 @@ def test_synth_out_of_domain_exit_code(capsys):
     code = main(["synth", "--family", "scrofulous", "--theta", "3.9"])
     assert code == 2
     assert "arcsinc argument out of branch range" in capsys.readouterr().err
+
+
+def test_synth_subnormal_angle_is_a_usage_error(capsys):
+    assert main(["synth", "--family", "scrofulous", "--theta", "5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scrofulous:")
 
 
 def test_synth_dump_matrix(capsys):
@@ -313,6 +326,20 @@ def test_non_finite_errors_exit_code(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["synth", "grid", "verify", "trajectory"])
+@pytest.mark.parametrize("flag", ["--theta", "--phi"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+def test_non_finite_angles_exit_code(command, flag, bad, capsys):
+    angles = {"--theta": "pi", "--phi": "0", flag: bad}
+    argv = [command, "--family", "scorbutus"]
+    for name, value in angles.items():
+        argv += [name, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
 
 
 # ---------------------------------------------------------------- timecompare

@@ -62,3 +62,44 @@ def test_survey_verdict_and_palindrome_rule_match_the_package(perfbench):
         seq, residual = out[0], out[3]
         assert isinstance(w.verdict(inp, out), bool)
         assert (residual is not None) == _is_palindromic(seq), seq.family
+
+
+def _landscape_op(perfbench):
+    _, workloads = perfbench
+    w = workloads.Landscape(seed=1)
+    inp = w.make_input(2)
+    seq, grid, csv = w.run(inp)
+    count = workloads.GRID_COUNT
+    # a checked row whose fidelity text has a digit after the point
+    row = next(
+        1 + i * count + j
+        for i, j in inp["points"]
+        if "." in f"{grid.values[i, j]:.17g}"
+    )
+    return w, inp, seq, grid, csv.splitlines(keepends=True), row
+
+
+def _alter_a_digit(line):
+    eps, f, fidelity = line.split(",")
+    k = fidelity.index(".") + 1
+    digit = str((int(fidelity[k]) + 1) % 10)
+    return ",".join((eps, f, fidelity[:k] + digit + fidelity[k + 1:]))
+
+
+def _swap(lines, row):
+    other = row + 1 if row + 1 < len(lines) else row - 1
+    lines[row], lines[other] = lines[other], lines[row]
+    return lines
+
+
+@pytest.mark.parametrize("breakage", ["digit", "last-line", "swap"])
+def test_landscape_check_catches_a_broken_csv_writer(perfbench, breakage):
+    w, inp, seq, grid, lines, row = _landscape_op(perfbench)
+    assert w.check(inp, (seq, grid, "".join(lines))) is None
+    if breakage == "digit":
+        lines[row] = _alter_a_digit(lines[row])
+    elif breakage == "last-line":
+        lines.pop()
+    else:
+        lines = _swap(lines, row)
+    assert w.check(inp, (seq, grid, "".join(lines))) is not None

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import oracles
 from pulsesmith.sequences import (
     FAMILIES,
     SINC_BRANCH_END,
     SINC_BRANCH_FLOOR,
+    PulseSequence,
+    _sequence_pair,
     arcsinc,
     compose_with_errors,
     elementary,
@@ -26,6 +30,8 @@ from pulsesmith.su2 import (
     TWO_PI,
     ErrorPair,
     Pulse,
+    _pair_product,
+    _rotation_pair,
     compose,
     frobenius_distance,
     gate_fidelity,
@@ -132,6 +138,13 @@ def test_scrofulous_domain_errors():
     for theta in (0.0, -1.0, TWO_PI, 7.0):
         with pytest.raises(ValueError):
             scrofulous(theta, 0.0)
+
+
+@pytest.mark.parametrize("family", ["scrofulous", "scorbutus"])
+def test_subnormal_target_angle_is_a_domain_error(family):
+    # sin(theta/2) rounds to 0 here; the phase's arccos argument diverges
+    with pytest.raises(ValueError, match="outside"):
+        synthesize(family, 5e-324, 0.0)
 
 
 # ---------------------------------------------------------------- theta_r
@@ -365,6 +378,98 @@ def test_batched_fidelity_matches_scalar_calls_and_quaternion_oracle():
             assert abs(fidelities[idx] - gate_fidelity(single, target)) <= 1e-15
             reference = oracles.quat_to_matrix(oracles.quat_compose(pulses, e, g))
             assert frobenius_distance(stack[idx], reference) < EXACT_TOL
+
+
+# ---------------------------------------------------------------- repeated pulses
+# _sequence_pair rotates each distinct pulse once per call; the result must
+# keep every bit of a plain fold that rotates every pulse, signed zeros too.
+
+
+def plain_fold(pulses, err):
+    acc = _rotation_pair(pulses[0], err)
+    for p in pulses[1:]:
+        acc = _pair_product(_rotation_pair(p, err), acc)
+    return acc
+
+
+REPEATED_PULSES = {
+    "scrofulous": scrofulous(PI, 0.3).pulses,
+    "scorbutus": scorbutus(PI / 2, 1.1).pulses,
+    "skinsc": skinsc(1.0, 2.0).pulses,
+    # Pulse(0.0, phi) == Pulse(-0.0, phi), but their pairs differ in the
+    # sign of a zero
+    "signed-zero": (Pulse(-0.0, 3.0), Pulse(0.0, 3.0), Pulse(0.0, 1.0), Pulse(-0.0, 1.0), Pulse(-0.0, 3.0)),
+    "int-and-float": (Pulse(1, 0.5), Pulse(1.0, 0.5), Pulse(2, 4), Pulse(1, 0.5), Pulse(2.0, 4.0)),
+}
+REPEAT_ERRORS = {
+    "zero": ErrorPair(0.0, 0.0),
+    "negative-zero": ErrorPair(-0.0, -0.0),
+    "scalar": ErrorPair(0.1, -0.2),
+    "stacked": ErrorPair(
+        np.array([-0.2, -0.0, 0.0, 0.15]), np.array([-0.1, -0.0, 0.0, 0.25])[:, np.newaxis]
+    ),
+}
+
+
+@pytest.mark.parametrize("err", REPEAT_ERRORS.values(), ids=REPEAT_ERRORS)
+@pytest.mark.parametrize("pulses", REPEATED_PULSES.values(), ids=REPEATED_PULSES)
+def test_sequence_pair_keeps_the_bits_of_a_plain_fold(pulses, err):
+    got = _sequence_pair(PulseSequence(pulses, Pulse(PI, 0.0), "custom"), err)
+    want = plain_fold(pulses, err)
+    for x, y in zip(got, want):
+        assert np.shape(x) == np.shape(y)
+        assert np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x.real), np.signbit(y.real))
+        assert np.array_equal(np.signbit(x.imag), np.signbit(y.imag))
+
+
+DISTINCT_PULSES = {"scrofulous": 2, "scorbutus": 3, "skinsc": 5, "signed-zero": 4, "int-and-float": 2}
+
+
+@pytest.mark.parametrize("name", REPEATED_PULSES)
+def test_sequence_pair_rotates_each_distinct_pulse_once(name, monkeypatch):
+    from pulsesmith import sequences
+
+    rotated = []
+
+    def counting(pulse, err):
+        rotated.append(pulse)
+        return _rotation_pair(pulse, err)
+
+    monkeypatch.setattr(sequences, "_rotation_pair", counting)
+    seq = PulseSequence(REPEATED_PULSES[name], Pulse(PI, 0.0), "custom")
+    _sequence_pair(seq, ErrorPair(0.1, -0.2))
+    assert len(rotated) == DISTINCT_PULSES[name]
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(
+    theta=st.floats(0.1, TWO_PI),
+    phi=st.floats(0.0, TWO_PI),
+    theta_r=st.floats(0.0, PI),
+    eps=st.floats(-0.3, 0.3),
+)
+def test_switchback_sequence_is_the_single_pulse_under_pulse_length_error(theta, phi, theta_r, eps):
+    # both back pulses of the triple are one repeated pulse
+    pulse = Pulse(theta, phi)
+    err = ErrorPair(eps, 0.0)
+    triple = PulseSequence(switchback_replace(pulse, theta_r), pulse, "custom")
+    together = compose_with_errors(triple, err)
+    assert frobenius_distance(together, rotation_with_error(pulse, err)) < EXACT_TOL
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY_SETTINGS
+@given(theta=st.floats(0.0, TWO_PI, exclude_min=True, exclude_max=True), phi=st.floats(0.0, TWO_PI))
+def test_zero_error_synthesis_is_exact_over_the_domain(family, theta, phi):
+    try:
+        seq = synthesize(family, theta, phi)
+    except ValueError:
+        reject()  # outside the family's domain
+    assert zero_error_fidelity(seq) >= 1.0 - SEQ_FID_TOL
 
 
 # ---------------------------------------------------------------- serialization
