@@ -4,12 +4,19 @@ A square pulse evolves the state at constant angular velocity, so sampling a
 pulse at fraction s means rotating by s * theta with the error model
 unchanged. Trajectories exported here are the raw data behind the usual
 sphere plots; no rendering is done.
+
+A trajectory of k pulses sampled m times each is one (k, m) stack: all k*m
+partial rotations come from one rotation call, each row after the first is
+multiplied by the whole of the pulses before it, and the state is turned
+once over the flattened stack. The result keeps the states as float
+columns; per-sample point objects are built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +29,10 @@ from .su2 import (
     ErrorPair,
     Pulse,
     Unitary2,
+    _axis_pair,
     _dagger,
     _matmul,
     _pair_product,
-    _rotation_pair,
 )
 
 NORM_TOL = 1e-10
@@ -93,13 +100,45 @@ class TrajectoryPoint:
     state: BlochVector
 
 
-@dataclass(frozen=True)
+def _fractions(samples_per_pulse: int) -> list[float]:
+    # the completed shares j/m, j = 1..m, at which every pulse is sampled
+    return [j / samples_per_pulse for j in range(1, samples_per_pulse + 1)]
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A sampled Bloch-sphere path, stored as columns.
+
+    ``initial`` is the starting state. The float columns ``x``, ``y`` and
+    ``z`` hold the k * samples_per_pulse states after it, pulse by pulse:
+    row (i - 1) * m + j - 1 is pulse i after the completed fraction j / m
+    (i, j from 1, m = samples_per_pulse). ``points`` is the same path as
+    :class:`TrajectoryPoint` values, the initial state first; it is built
+    on first use and then kept. Compared by identity, since it holds arrays.
+    """
+
     family: str
     target: Pulse
     err: ErrorPair
     samples_per_pulse: int
-    points: tuple[TrajectoryPoint, ...]
+    initial: BlochVector
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+    def _rows(self):
+        # (pulse_index, fraction, x, y, z) of every point, the initial one first
+        r = self.initial
+        yield 0, 0.0, r.x, r.y, r.z
+        fractions = _fractions(self.samples_per_pulse)
+        states = zip(self.x.tolist(), self.y.tolist(), self.z.tolist())
+        for index in range(1, len(self.x) // len(fractions) + 1):
+            for t, (x, y, z) in zip(fractions, states):
+                yield index, t, x, y, z
+
+    @cached_property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        return tuple(TrajectoryPoint(i, t, BlochVector(x, y, z)) for i, t, x, y, z in self._rows())
 
 
 def trajectory(
@@ -112,34 +151,52 @@ def trajectory(
 
     Produces k * samples_per_pulse + 1 points starting from the initial
     state; within a pulse all samples lie on the circle around that pulse's
-    effective (error-tilted) rotation axis.
+    effective (error-tilted) rotation axis. ``err`` is one error point: its
+    fields must be scalars, not arrays.
     """
     if samples_per_pulse < 1:
         raise ValueError("samples_per_pulse must be at least 1")
+    for name in ("epsilon", "f"):
+        shape = np.shape(getattr(err, name))
+        if shape:
+            raise ValueError(f"trajectory needs a scalar err.{name}, got an array of shape {shape}")
     if not abs(initial.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
-    m = samples_per_pulse
-    fractions = np.arange(1, m + 1) / m
-    points = [TrajectoryPoint(0, 0.0, initial)]
-    prefix = None
-    for index, pulse in enumerate(seq.pulses, start=1):
-        partials = _rotation_pair(Pulse(pulse.theta * fractions, pulse.phi), err)
-        if prefix is not None:
-            partials = _pair_product(partials, prefix)
-        x, y, z = _turn(partials, initial)
-        samples = zip(fractions.tolist(), x.tolist(), y.tolist(), z.tolist())
-        points.extend(TrajectoryPoint(index, t, BlochVector(x, y, z)) for t, x, y, z in samples)
-        prefix = (partials[0][-1], partials[1][-1])
-    return Trajectory(seq.family, seq.target, err, m, tuple(points))
+    pulses = seq.pulses
+    # row i - 1 holds pulse i's partial rotations: one call for the whole path
+    theta = np.array([p.theta for p in pulses], dtype=float)[:, np.newaxis]
+    cos_phi = np.array([math.cos(p.phi) for p in pulses])[:, np.newaxis]
+    sin_phi = np.array([math.sin(p.phi) for p in pulses])[:, np.newaxis]
+    a, b = _axis_pair(theta * _fractions(samples_per_pulse), cos_phi, sin_phi, err)
+    # a pulse acts after every earlier one, whose product is the last column
+    # of the row before, already updated
+    for i in range(1, len(pulses)):
+        a[i], b[i] = _pair_product((a[i], b[i]), (a[i - 1, -1], b[i - 1, -1]))
+    x, y, z = _turn((a.ravel(), b.ravel()), initial)
+    for column in (x, y, z):
+        column.flags.writeable = False
+    return Trajectory(seq.family, seq.target, err, samples_per_pulse, initial, x, y, z)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    lines = ["pulse_index,fraction,x,y,z"]
-    for p in traj.points:
-        lines.append(
-            f"{p.pulse_index},{p.fraction!r},{p.state.x!r},{p.state.y!r},{p.state.z!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV with header pulse_index,fraction,x,y,z, one row per point, the
+    initial state first. Floats are written as their repr, the shortest
+    text that round-trips.
+
+    Formatting the states is nearly all of the cost, so each fraction is
+    formatted once, into the "pulse_index,fraction," prefixes of its rows,
+    and a row formats only its x, y and z. (One ``%r`` template, as
+    ``grid_to_csv`` uses for ``%.17g``, measured a few percent slower:
+    ``%r`` has no fast path and calls repr just as ``!r`` does.)
+    """
+    r = traj.initial
+    fractions = [repr(t) for t in _fractions(traj.samples_per_pulse)]
+    prefixes = [f"{i},{t}," for i in range(1, len(traj.x) // len(fractions) + 1) for t in fractions]
+    rows = [
+        f"{p}{x!r},{y!r},{z!r}\n"
+        for p, x, y, z in zip(prefixes, traj.x.tolist(), traj.y.tolist(), traj.z.tolist())
+    ]
+    return f"pulse_index,fraction,x,y,z\n0,0.0,{r.x!r},{r.y!r},{r.z!r}\n" + "".join(rows)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
@@ -149,13 +206,7 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
         "err": {"epsilon": traj.err.epsilon, "f": traj.err.f},
         "samples_per_pulse": traj.samples_per_pulse,
         "points": [
-            {
-                "pulse_index": p.pulse_index,
-                "fraction": p.fraction,
-                "x": p.state.x,
-                "y": p.state.y,
-                "z": p.state.z,
-            }
-            for p in traj.points
+            {"pulse_index": i, "fraction": t, "x": x, "y": y, "z": z}
+            for i, t, x, y, z in traj._rows()
         ],
     }

@@ -110,6 +110,15 @@ class AngleExpr:
         return repr(value)
 
 
+def _angle_arg(text: str) -> AngleExpr:
+    # argparse prints the message of an ArgumentTypeError, but for a
+    # ValueError only "invalid <function name> value"
+    try:
+        return AngleExpr.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def parse_axis_spec(text: str) -> AxisSpec:
     """Parse min:max:count with inclusive endpoints; min/max accept the
     AngleExpr grammar."""
@@ -270,9 +279,9 @@ def _add_target_options(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="sequence family to synthesize",
     )
-    sub.add_argument("--theta", type=AngleExpr.parse, default=None, help="target angle")
+    sub.add_argument("--theta", type=_angle_arg, default=None, help="target angle")
     sub.add_argument(
-        "--phi", type=AngleExpr.parse, default=AngleExpr("0", 0.0), help="target phase"
+        "--phi", type=_angle_arg, default=AngleExpr("0", 0.0), help="target phase"
     )
     sub.add_argument(
         "--sequence-file",
@@ -297,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="build a sequence and print its JSON")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--theta", type=AngleExpr.parse, required=True)
-    p.add_argument("--phi", type=AngleExpr.parse, default=AngleExpr("0", 0.0))
+    p.add_argument("--theta", type=_angle_arg, required=True)
+    p.add_argument("--phi", type=_angle_arg, default=AngleExpr("0", 0.0))
     p.add_argument("--dump-matrix", action="store_true", help="include the zero-error matrix")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json"], default="json")
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timecompare", help="operation times of SCORBUTUS vs SKinsC")
     p.add_argument("--thetas", default=None, help="target angles min:max:count; default 256 points over (0, pi]")
-    p.add_argument("--phi", type=AngleExpr.parse, default=AngleExpr("0", 0.0))
+    p.add_argument("--phi", type=_angle_arg, default=AngleExpr("0", 0.0))
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_timecompare)

@@ -82,16 +82,22 @@ class ErrorPair:
 NO_ERROR = ErrorPair(0.0, 0.0)
 
 
-def _rotation_pair(pulse: Pulse, err: ErrorPair):
+def _axis_pair(theta, cos_phi, sin_phi, err: ErrorPair):
     # Cayley-Klein pair of cos(h) I - i sin(h) m.sigma for the deformed
     # rotation's half angle h and unit axis m, elementwise over broadcast
-    # arguments. At zero error nrm is exactly 1, so the ideal rotation gets
-    # the same bits through this one path.
+    # arguments; the in-plane axis comes as its (cos phi, sin phi), so a
+    # stack of pulses with different phases is one call. At zero error nrm
+    # is exactly 1, so the ideal rotation gets the same bits through this
+    # one path.
     nrm = np.sqrt(1.0 + err.f * err.f)
-    half = 0.5 * (pulse.theta * (1.0 + err.epsilon) * nrm)
+    half = 0.5 * (theta * (1.0 + err.epsilon) * nrm)
     s = np.sin(half)
-    mx, my, mz = math.cos(pulse.phi) / nrm, math.sin(pulse.phi) / nrm, err.f / nrm
+    mx, my, mz = cos_phi / nrm, sin_phi / nrm, err.f / nrm
     return np.cos(half) - 1j * (s * mz), s * my - 1j * (s * mx)
+
+
+def _rotation_pair(pulse: Pulse, err: ErrorPair):
+    return _axis_pair(pulse.theta, math.cos(pulse.phi), math.sin(pulse.phi), err)
 
 
 def _pair_matrix(pair) -> Unitary2:

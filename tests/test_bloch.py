@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from pulsesmith.bloch import (
     NORTH_POLE,
     SOUTH_POLE,
     BlochVector,
+    _turn,
     apply_to_state,
     trajectory,
     trajectory_to_csv,
@@ -18,9 +20,10 @@ from pulsesmith.sequences import (
     compose_with_errors,
     elementary,
     scorbutus,
+    sequence_from_dict,
     synthesize,
 )
-from pulsesmith.su2 import SIGMA_0, ErrorPair, Pulse, rotation
+from pulsesmith.su2 import SIGMA_0, ErrorPair, Pulse, _pair_product, _rotation_pair, rotation
 
 PI = math.pi
 NORM_TOL = 1e-10
@@ -107,6 +110,21 @@ def test_trajectory_point_count_and_first_point():
     first = traj.points[0]
     assert first.pulse_index == 0 and first.fraction == 0.0
     assert first.state == NORTH_POLE
+
+
+def test_trajectory_columns_and_points_view():
+    seq = scorbutus(PI, 0.0)
+    traj = trajectory(seq, ErrorPair(0.1, 0.1), NORTH_POLE, 4)
+    assert traj.initial is NORTH_POLE
+    for column in (traj.x, traj.y, traj.z):
+        assert column.shape == (5 * 4,) and column.dtype == float
+        assert not column.flags.writeable
+    assert traj.points is traj.points  # built once
+    for p, x, y, z in zip(traj.points[1:], traj.x, traj.y, traj.z):
+        assert (p.state.x, p.state.y, p.state.z) == (x, y, z)
+    assert [(p.pulse_index, p.fraction) for p in traj.points[1:5]] == [
+        (1, 0.25), (1, 0.5), (1, 0.75), (1, 1.0)
+    ]
 
 
 def test_trajectory_elementary_endpoint():
@@ -210,3 +228,114 @@ def test_trajectory_csv_and_dict():
     assert data["family"] == "elementary"
     assert data["err"] == {"epsilon": 0.1, "f": 0.1}
     assert len(data["points"]) == 3
+
+
+@pytest.mark.parametrize("field, length", [("epsilon", 2), ("f", 3)])
+def test_trajectory_rejects_array_errors(field, length):
+    # length 2 equals samples_per_pulse, which once paired error j with
+    # fraction j; any other length failed to broadcast
+    values = {"epsilon": 0.0, "f": 0.0, field: np.linspace(0.1, 0.2, length)}
+    with pytest.raises(ValueError, match=rf"err\.{field}.*\({length},\)"):
+        trajectory(scorbutus(PI, 0.0), ErrorPair(**values), NORTH_POLE, 2)
+
+
+# ------------------------------------------- trajectory against the old loop
+
+
+def _fold(seq, err, initial, m):
+    """Points (pulse_index, fraction, x, y, z) of the per-pulse loop that the
+    stacked trajectory replaced: one rotation call and one product per pulse."""
+    fractions = np.arange(1, m + 1) / m
+    rows = [(0, 0.0, initial.x, initial.y, initial.z)]
+    prefix = None
+    for index, pulse in enumerate(seq.pulses, start=1):
+        partials = _rotation_pair(Pulse(pulse.theta * fractions, pulse.phi), err)
+        if prefix is not None:
+            partials = _pair_product(partials, prefix)
+        x, y, z = _turn(partials, initial)
+        rows.extend(zip([index] * m, fractions.tolist(), x.tolist(), y.tolist(), z.tolist()))
+        prefix = (partials[0][-1], partials[1][-1])
+    return rows
+
+
+def _reference_csv(rows):
+    # the per-point spelling of trajectory_to_csv before the column writer
+    lines = ["pulse_index,fraction,x,y,z"]
+    for i, t, x, y, z in rows:
+        lines.append(f"{i},{t!r},{x!r},{y!r},{z!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(seq, err, m, rows):
+    # the per-point spelling of trajectory_to_dict, as the CLI prints it
+    data = {
+        "family": seq.family,
+        "target": {"theta": seq.target.theta, "phi": seq.target.phi},
+        "err": {"epsilon": err.epsilon, "f": err.f},
+        "samples_per_pulse": m,
+        "points": [
+            {"pulse_index": i, "fraction": t, "x": x, "y": y, "z": z}
+            for i, t, x, y, z in rows
+        ],
+    }
+    return json.dumps(data, indent=2)
+
+
+def _oracle_state(seq, err, initial, pulse_index, fraction):
+    done = [(p.theta, p.phi) for p in seq.pulses[: pulse_index - 1]]
+    current = seq.pulses[pulse_index - 1]
+    q = oracles.quat_compose(
+        done + [(current.theta * fraction, current.phi)], err.epsilon, err.f
+    )
+    return oracles.quat_rotate(q, (initial.x, initial.y, initial.z))
+
+
+def _assert_matches_old_writers(seq, err, initial, m):
+    traj = trajectory(seq, err, initial, m)
+    rows = _fold(seq, err, initial, m)
+    got = [(p.pulse_index, p.fraction, p.state.x, p.state.y, p.state.z) for p in traj.points]
+    # repr tells -0.0 from 0.0 and an int from a float: bit for bit
+    assert repr(got) == repr(rows)
+    assert trajectory_to_csv(traj) == _reference_csv(rows)
+    assert json.dumps(trajectory_to_dict(traj), indent=2) == _reference_json(seq, err, m, rows)
+    for i, t, x, y, z in rows[1:]:
+        want = _oracle_state(seq, err, initial, i, t)
+        assert max(abs(g - w) for g, w in zip((x, y, z), want)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 64])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_trajectory_matches_the_per_pulse_loop_and_old_writers(family, m):
+    rng = np.random.default_rng([17, m, FAMILIES.index(family)])
+    for _ in range(3):
+        seq = synthesize(family, float(rng.uniform(0.1, 3.0)), float(rng.uniform(-1.0, 7.0)))
+        err = ErrorPair(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.3, 0.3)))
+        v = rng.normal(size=3)
+        initial = BlochVector(*(float(c) for c in v / np.linalg.norm(v)))
+        _assert_matches_old_writers(seq, err, initial, m)
+
+
+def test_trajectory_keeps_integer_initial_fields():
+    seq = scorbutus(PI, 0.0)
+    initial = BlochVector(0, 0, 1)
+    _assert_matches_old_writers(seq, ErrorPair(0.1, 0.1), initial, 4)
+    text = trajectory_to_csv(trajectory(seq, ErrorPair(0.1, 0.1), initial, 4))
+    assert text.splitlines()[1] == "0,0.0,0,0,1"
+
+
+@pytest.mark.parametrize(
+    "pulses",
+    [
+        # signed zeros and integer angles as a sequence file spells them
+        '[{"theta": 3, "phi": -0.0}, {"theta": -0.0, "phi": 1},'
+        ' {"theta": 0.0, "phi": 0}, {"theta": 2, "phi": 2.5}]',
+        '[{"theta": 2, "phi": -1}]',
+    ],
+    ids=["signed-zeros-and-integers", "one-pulse"],
+)
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_trajectory_of_a_sequence_file_matches_the_old_writers(pulses, m):
+    text = '{"family": "custom", "target": {"theta": 1.0, "phi": 0.0}, "pulses": %s}' % pulses
+    seq = sequence_from_dict(json.loads(text))
+    for initial in (NORTH_POLE, BlochVector(0.6, 0.0, -0.8), BlochVector(0, 1, 0)):
+        _assert_matches_old_writers(seq, ErrorPair(0.1, -0.05), initial, m)

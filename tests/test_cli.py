@@ -330,7 +330,7 @@ def test_non_finite_errors_exit_code(argv, capsys):
 
 @pytest.mark.parametrize("command", ["synth", "grid", "verify", "trajectory"])
 @pytest.mark.parametrize("flag", ["--theta", "--phi"])
-@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "pi/0"])
 def test_non_finite_angles_exit_code(command, flag, bad, capsys):
     angles = {"--theta": "pi", "--phi": "0", flag: bad}
     argv = [command, "--family", "scorbutus"]
@@ -339,7 +339,9 @@ def test_non_finite_angles_exit_code(command, flag, bad, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {flag}" in captured.err
+    # the parser's reason, not only argparse's "invalid ... value"
+    reason = "divides by zero" if bad == "pi/0" else "must be finite"
+    assert f"argument {flag}: angle {bad!r} {reason}" in captured.err
 
 
 # ---------------------------------------------------------------- timecompare

@@ -3,8 +3,10 @@ results; these checks keep a rename or a changed result shape from surfacing
 only as failed benchmark ops. The benchmark files are imported by path and
 left as they are."""
 
+import dataclasses
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -103,3 +105,36 @@ def test_landscape_check_catches_a_broken_csv_writer(perfbench, breakage):
     else:
         lines = _swap(lines, row)
     assert w.check(inp, (seq, grid, "".join(lines))) is not None
+
+
+def _survey_op_with_a_tilted_end(perfbench):
+    # an op whose final state is well off the z axis, so that a turn about
+    # z moves it
+    _, workloads = perfbench
+    w = workloads.Survey(seed=1)
+    for i in range(w.block):
+        inp = w.make_input(i)
+        out = w.run(inp)
+        traj = out[4]
+        if math.hypot(traj.x[-1], traj.y[-1]) > 0.1:
+            return w, inp, out
+    raise AssertionError("no survey op ends away from the poles")
+
+
+@pytest.mark.parametrize("breakage", ["final-state", "dropped-sample"])
+def test_survey_check_catches_a_broken_trajectory(perfbench, breakage):
+    # Survey.check reads traj.points, which Trajectory derives from its columns
+    w, inp, out = _survey_op_with_a_tilted_end(perfbench)
+    assert w.check(inp, out) is None
+    traj = out[4]
+    if breakage == "final-state":
+        # turned about z by 1e-6: still a unit vector, but not the reference
+        x, y = traj.x.copy(), traj.y.copy()
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        x[-1], y[-1] = c * x[-1] - s * y[-1], s * x[-1] + c * y[-1]
+        broken = dataclasses.replace(traj, x=x, y=y)
+    else:
+        broken = dataclasses.replace(traj, x=traj.x[:-1], y=traj.y[:-1], z=traj.z[:-1])
+    problem = w.check(inp, out[:4] + (broken,) + out[5:])
+    assert problem is not None
+    assert ("final state" if breakage == "final-state" else "points for") in problem
