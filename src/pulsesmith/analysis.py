@@ -6,8 +6,9 @@ uncompensated sequence and as t^4 once the first-order term vanishes, so a
 log-log slope fit distinguishes the two. For palindromic sequences the
 first-order off-resonance term collapses to a single scalar
 s1 a1 + ... + s_{k-1} a_{k-1} + s_k (s_i = sin(theta_i/2)), whose root is
-exactly the switchback tuning condition; the residual is evaluated here and
-cross-checked against a finite-difference derivative of the composed matrix.
+exactly the switchback tuning condition; the residual is evaluated here,
+next to the exact first-order derivative of the composed matrix that it
+must reproduce.
 """
 
 from __future__ import annotations
@@ -17,19 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import PulseSequence, _sequence_pair, compose_with_errors, scorbutus, skinsc, total_time
+from .sequences import PulseSequence, _sequence_pair, scorbutus, skinsc, total_time
 from .su2 import (
     NO_ERROR,
     ErrorPair,
     Pulse,
     Unitary2,
     _pair_fidelity,
+    _pair_matrix,
     _pair_product,
     _rotation_pair,
 )
 
 INFIDELITY_FLOOR = 1e-14
-FD_STEP = 1e-5
 GRID_BLOCK_POINTS = 2048
 """Error points :func:`fidelity_grid` evaluates per batched call (whole f
 rows, at least one): enough to amortise numpy's per-call cost, few enough
@@ -171,24 +172,34 @@ def slope_report(
 
 
 def first_order_coefficient(seq: PulseSequence, which: str) -> Unitary2:
-    """Derivative of the composed matrix along one error parameter at zero.
+    """Exact derivative of the composed matrix along one error parameter at zero.
 
-    Central differences with step FD_STEP plus one Richardson refinement
-    (combining steps h and h/2), accurate enough to resolve coefficients at
-    the 1e-8 level.
+    One pass of the product rule over the pulses: with u the product so far
+    and d its derivative, pulse r turns them into r u and r d + r' u. At
+    zero error r' = g r with g = -i (theta/2) n.sigma for the pulse length
+    error, and r' = -i sin(theta/2) sigma_z for the off-resonance error.
+    Derivatives of special unitaries keep the form [[a, -b*], [b, a*]], so
+    u, d and the factors of r' all travel as pairs.
     """
-    if which == "eps":
-        def evaluate(x: float) -> Unitary2:
-            return compose_with_errors(seq, ErrorPair(x, 0.0))
-    elif which == "f":
-        def evaluate(x: float) -> Unitary2:
-            return compose_with_errors(seq, ErrorPair(0.0, x))
-    else:
+    if which not in ("eps", "f"):
         raise ValueError(f"unknown error parameter {which!r}, expected 'eps' or 'f'")
-    h = FD_STEP
-    coarse = (evaluate(h) - evaluate(-h)) / (2.0 * h)
-    fine = (evaluate(0.5 * h) - evaluate(-0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
+    # numpy scalars: _pair_product calls .conj(), which Python complex lacks
+    zero = np.complex128(0.0)
+    u, d = (np.complex128(1.0), zero), (zero, zero)
+    for p in seq.pulses:
+        r = _rotation_pair(p, NO_ERROR)
+        ru = _pair_product(r, u)
+        if which == "eps":
+            # g is the pair (0, -i (theta/2) e^{i phi})
+            half = 0.5 * p.theta
+            g = (zero, np.complex128(complex(half * math.sin(p.phi), -half * math.cos(p.phi))))
+            step = _pair_product(g, ru)
+        else:
+            step = _pair_product((np.complex128(-1j * math.sin(0.5 * p.theta)), zero), u)
+        rd = _pair_product(r, d)
+        d = (rd[0] + step[0], rd[1] + step[1])
+        u = ru
+    return _pair_matrix(d)
 
 
 def _is_palindromic(seq: PulseSequence) -> bool:
@@ -210,8 +221,9 @@ def alpha_coefficient(seq: PulseSequence, i: int) -> float:
 
     alpha_i is the trace of the product of the inverses of pulses 1..i-1
     followed by pulses i+1 up the half-sequence to k and back down to 1; the
-    trace of an SU(2) product is real. The assembly is validated against a
-    brute-force derivative of the composed matrix in the test suite.
+    trace of an SU(2) product is real. The test suite checks the assembly
+    against :func:`first_order_coefficient`, the exact derivative of the
+    composed matrix, to rounding.
     """
     half = _palindrome_half(seq)
     k = len(half)

@@ -22,16 +22,12 @@ import numpy as np
 
 from .sequences import PulseSequence
 from .su2 import (
-    SIGMA_0,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
+    UNITARITY_TOL,
     ErrorPair,
     Pulse,
     Unitary2,
     _axis_pair,
-    _dagger,
-    _matmul,
+    _pair_defect,
     _pair_product,
 )
 
@@ -65,15 +61,19 @@ SOUTH_POLE = BlochVector(0.0, 0.0, -1.0)
 
 def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     """Bloch vector of U rho U† for the pure state rho = (I + r.sigma)/2; for a
-    (..., 2, 2) stack U its fields are arrays over the stack shape, not floats."""
+    (..., 2, 2) stack U its fields are arrays over the stack shape, not floats.
+
+    A unitary is e^{i gamma} [[a, -b*], [b, a*]] with det U = e^{2 i gamma},
+    so dividing its first column by a square root of the determinant leaves
+    the pair (a, b) up to a sign, which the turn does not see.
+    """
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
-    rho = 0.5 * (SIGMA_0 + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
-    rho = _matmul(_matmul(U, rho), _dagger(U))
-    # tr(rho sx), tr(rho sy), tr(rho sz) of the Hermitian rho
-    x = 2.0 * rho[..., 1, 0].real
-    y = 2.0 * rho[..., 1, 0].imag
-    z = rho[..., 0, 0].real - rho[..., 1, 1].real
+    U = np.asarray(U, dtype=complex)
+    # a NaN entry gives NaN fields, without an invalid-value warning
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
+        x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)
     if x.ndim == 0:
         return BlochVector(float(x), float(y), float(z))
     return BlochVector(x, y, z)
@@ -152,7 +152,8 @@ def trajectory(
     Produces k * samples_per_pulse + 1 points starting from the initial
     state; within a pulse all samples lie on the circle around that pulse's
     effective (error-tilted) rotation axis. ``err`` is one error point: its
-    fields must be scalars, not arrays.
+    fields must be scalars, not arrays. Raises ValueError if a partial
+    rotation comes out non-unitary, as when theta (1 + epsilon) overflows.
     """
     if samples_per_pulse < 1:
         raise ValueError("samples_per_pulse must be at least 1")
@@ -167,7 +168,12 @@ def trajectory(
     theta = np.array([p.theta for p in pulses], dtype=float)[:, np.newaxis]
     cos_phi = np.array([math.cos(p.phi) for p in pulses])[:, np.newaxis]
     sin_phi = np.array([math.sin(p.phi) for p in pulses])[:, np.newaxis]
-    a, b = _axis_pair(theta * _fractions(samples_per_pulse), cos_phi, sin_phi, err)
+    # an angle too large for the closed form overflows to NaN: reported
+    # by the guard below instead of by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _axis_pair(theta * _fractions(samples_per_pulse), cos_phi, sin_phi, err)
+    if not _pair_defect((a, b)).max() <= UNITARITY_TOL:  # NaN fails too
+        raise ValueError("non-unitary partial rotation: pulse angles or errors too large")
     # a pulse acts after every earlier one, whose product is the last column
     # of the row before, already updated
     for i in range(1, len(pulses)):
@@ -189,14 +195,17 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     ``grid_to_csv`` uses for ``%.17g``, measured a few percent slower:
     ``%r`` has no fast path and calls repr just as ``!r`` does.)
     """
-    r = traj.initial
     fractions = [repr(t) for t in _fractions(traj.samples_per_pulse)]
     prefixes = [f"{i},{t}," for i in range(1, len(traj.x) // len(fractions) + 1) for t in fractions]
     rows = [
         f"{p}{x!r},{y!r},{z!r}\n"
         for p, x, y, z in zip(prefixes, traj.x.tolist(), traj.y.tolist(), traj.z.tolist())
     ]
-    return f"pulse_index,fraction,x,y,z\n0,0.0,{r.x!r},{r.y!r},{r.z!r}\n" + "".join(rows)
+    # a numpy scalar field as the Python scalar it holds, not its numpy repr;
+    # an int stays an int
+    r = traj.initial
+    initial = ",".join(repr(np.asarray(v).tolist()) for v in (r.x, r.y, r.z))
+    return f"pulse_index,fraction,x,y,z\n0,0.0,{initial}\n" + "".join(rows)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:

@@ -164,6 +164,8 @@ def _resolve_sequence(args: argparse.Namespace) -> PulseSequence:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.sequence_file}: not valid JSON ({exc})") from None
+            except RecursionError:
+                raise ValueError(f"{args.sequence_file}: JSON nested too deeply") from None
         return sequence_from_dict(data)
     if not args.family:
         problems.append("--family is required unless --sequence-file is given")

@@ -186,10 +186,6 @@ def compose(matrices: list[Unitary2]) -> Unitary2:
     return acc
 
 
-def _dagger(U: Unitary2) -> Unitary2:
-    return np.swapaxes(U.conj(), -1, -2)
-
-
 def unitarity_defect(U: Unitary2) -> float | np.ndarray:
     """Frobenius norm of U†U - I; an array of them for a stack.
 

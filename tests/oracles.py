@@ -1,7 +1,8 @@
 """Independent reference implementations used to derive expected values.
 
 Nothing here shares code with the package under test: rotations go through a
-generic matrix exponential, products through scalar quaternion algebra, and
+generic matrix exponential, products through scalar quaternion algebra,
+first-order error terms through finite differences of those products, and
 the sinc inverse through Brent's method.
 """
 
@@ -81,6 +82,20 @@ def quat_fidelity(q, target):
 def quat_to_matrix(q):
     a, (bx, by, bz) = q
     return a * ID - 1j * (bx * SX + by * SY + bz * SZ)
+
+
+def fd_first_order(pulses, which, step=1e-5):
+    """Derivative of the composed (theta, phi) pulses at zero error along
+    ``which`` ("eps" or "f"), as a 2x2 matrix: central differences of
+    :func:`quat_compose` with steps h and h/2, combined by one Richardson
+    step. Its error is of order 1e-11."""
+    def at(x):
+        errors = (x, 0.0) if which == "eps" else (0.0, x)
+        return quat_to_matrix(quat_compose(pulses, *errors))
+
+    coarse = (at(step) - at(-step)) / (2.0 * step)
+    fine = (at(0.5 * step) - at(-0.5 * step)) / step
+    return (4.0 * fine - coarse) / 3.0
 
 
 FIRST_SINC_MINIMUM = brentq(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pulsesmith import analysis
@@ -39,6 +41,7 @@ PI = math.pi
 T_VALUES = [float(t) for t in np.logspace(-3.0, -1.5, 13)]
 SLOPE_TOL = 0.3
 COEFF_TOL = 1e-8
+EXACT_TOL = 1e-13
 
 SCORBUTUS_HALF_TIME = 13.67320991643539
 SKINSC_HALF_TIME = 18.974883752706823
@@ -182,6 +185,32 @@ def test_first_order_coefficient_rejects_unknown_parameter():
         first_order_coefficient(elementary(PI, 0.0), "gamma")
 
 
+def test_first_order_coefficient_matches_the_finite_difference_oracle():
+    # random sequences of up to six pulses, no structure assumed
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        k = int(rng.integers(1, 7))
+        pulses = list(zip(rng.uniform(0.0, 2 * PI, k).tolist(), rng.uniform(-PI, 3 * PI, k).tolist()))
+        seq = PulseSequence(tuple(Pulse(t, p) for t, p in pulses), Pulse(1.0, 0.0), "custom")
+        for which in ("eps", "f"):
+            exact = first_order_coefficient(seq, which)
+            assert exact.shape == (2, 2) and exact.dtype == complex
+            assert np.max(np.abs(exact - oracles.fd_first_order(pulses, which))) < COEFF_TOL
+
+
+def test_scorbutus_first_order_terms_vanish_exactly_across_its_domain():
+    checked = 0
+    for theta in np.linspace(0.0, 2 * PI, 257)[1:-1].tolist():
+        try:
+            seq = scorbutus(theta, 0.7)
+        except ValueError:
+            continue  # outside the family's domain
+        checked += 1
+        for which in ("eps", "f"):
+            assert np.linalg.norm(first_order_coefficient(seq, which)) <= EXACT_TOL, (theta, which)
+    assert checked >= 128
+
+
 # --------------------------------------------------- alpha and the residual
 
 
@@ -222,6 +251,17 @@ def test_alpha_assembly_against_derivative_oracle():
         residual = symmetric_ore_residual(seq).residual
         derivative = first_order_coefficient(seq, "f")
         assert np.max(np.abs(derivative - (-1j * residual * SIGMA_Z))) < COEFF_TOL
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(half=st.lists(st.tuples(st.floats(0.0, 2 * PI), st.floats(0.0, 2 * PI)), min_size=1, max_size=4))
+def test_exact_off_resonance_term_of_a_palindrome_is_the_residual(half):
+    # the scalar formula and the exact derivative are computed independently
+    pulses = [Pulse(t, p) for t, p in half]
+    seq = PulseSequence(tuple(pulses + pulses[-2::-1]), pulses[-1], "custom")
+    residual = symmetric_ore_residual(seq).residual
+    derivative = first_order_coefficient(seq, "f")
+    assert np.max(np.abs(derivative - (-1j * residual * SIGMA_Z))) <= EXACT_TOL
 
 
 def test_residual_zero_for_scorbutus():

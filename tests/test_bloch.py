@@ -97,6 +97,34 @@ def test_apply_to_stack_with_nan_matrix_is_not_a_unit_vector():
     assert (out.x[2], out.y[2], out.z[2]) == (0.0, 0.0, 1.0)
 
 
+def test_apply_takes_a_real_matrix():
+    # the Pauli X matrix as floats: det -1 has no real square root
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    out = apply_to_state(pauli_x, BlochVector(0.6, 0.0, 0.8))
+    assert type(out.x) is float
+    assert (out.x, out.y, out.z) == pytest.approx((0.6, 0.0, -0.8), abs=1e-15)
+    stack = apply_to_state(np.stack([pauli_x, np.eye(2)]), NORTH_POLE)
+    assert stack.z.tolist() == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+
+def test_apply_ignores_the_global_phase():
+    seq = scorbutus(2.0, 0.5)
+    err = ErrorPair(0.1, -0.05)
+    U = compose_with_errors(seq, err)
+    r = BlochVector(0.6, 0.0, 0.8)
+    want = oracles.quat_rotate(
+        oracles.quat_compose([(p.theta, p.phi) for p in seq.pulses], err.epsilon, err.f),
+        (r.x, r.y, r.z),
+    )
+    gammas = np.array([0.0, 0.3, PI / 2, PI, -2.0, 3.0])
+    phased = np.exp(1j * gammas)[:, np.newaxis, np.newaxis] * U
+    out = apply_to_state(phased, r)
+    for k in range(len(gammas)):
+        single = apply_to_state(phased[k], r)
+        assert (out.x[k], out.y[k], out.z[k]) == (single.x, single.y, single.z)
+        assert max(abs(g - w) for g, w in zip((single.x, single.y, single.z), want)) <= 1e-14
+
+
 def test_trajectory_near_identity_pulse():
     seq = elementary(1e-12, 0.0)
     traj = trajectory(seq, ErrorPair(0.0, 0.0), NORTH_POLE, 4)
@@ -228,6 +256,16 @@ def test_trajectory_csv_and_dict():
     assert data["family"] == "elementary"
     assert data["err"] == {"epsilon": 0.1, "f": 0.1}
     assert len(data["points"]) == 3
+
+
+def test_trajectory_csv_writes_numpy_scalar_initial_fields_as_python_scalars():
+    seq, err = elementary(1.0, 0.0), ErrorPair(0.0, 0.0)
+    traj = trajectory(seq, err, BlochVector(*np.array([0.6, 0.0, 0.8])), 1)
+    text = trajectory_to_csv(traj)
+    assert text.splitlines()[1] == "0,0.0,0.6,0.0,0.8"
+    assert text == trajectory_to_csv(trajectory(seq, err, BlochVector(0.6, 0.0, 0.8), 1))
+    integers = trajectory(seq, err, BlochVector(*np.array([0, 0, 1])), 1)
+    assert trajectory_to_csv(integers).splitlines()[1] == "0,0.0,0,0,1"
 
 
 @pytest.mark.parametrize("field, length", [("epsilon", 2), ("f", 3)])

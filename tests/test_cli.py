@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,10 +239,11 @@ _GOOD_HEAD = '"family": "scorbutus", "target": {"theta": 1.0, "phi": 0.0}'
     ('{%s, "pulses": [{"theta": 1%s, "phi": 0.0}]}' % (_GOOD_HEAD, "0" * 400), "pulses[0].theta"),
     ('{"family": 5, "target": {"theta": 1.0, "phi": 0.0}, "pulses": [%s]}' % _GOOD_PULSE,
      "family must be a string"),
+    ("[" * 100_000, "nested too deeply"),
 ], ids=[
     "list", "no-family", "no-target", "no-pulses", "empty-pulses", "no-phi", "no-theta",
     "pulse-not-object", "string-nan", "boolean", "json-nan", "json-infinity",
-    "exponent-overflow", "huge-integer", "family-not-string",
+    "exponent-overflow", "huge-integer", "family-not-string", "deep-nesting",
 ])
 def test_malformed_sequence_file_exit_code(command, text, where, tmp_path, capsys):
     path = tmp_path / "seq.json"
@@ -326,6 +330,19 @@ def test_non_finite_errors_exit_code(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theta", "1e308", "--eps", "1"],  # theta (1 + eps) overflows
+    ["--theta", "pi", "--f", "1e200"],   # f^2 overflows
+])
+def test_trajectory_non_unitary_rotation_exit_code(argv, capsys):
+    # finite inputs whose partial rotations overflow to NaN
+    code = main(["trajectory", "--family", "elementary"] + argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "non-unitary" in captured.err
 
 
 @pytest.mark.parametrize("command", ["synth", "grid", "verify", "trajectory"])
@@ -436,3 +453,26 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as handle:
         assert pulsesmith.__version__ == tomllib.load(handle)["project"]["version"]
+
+
+def test_cli_process_exit_codes(tmp_path):
+    # the real process, as a shell runs it: exit status, not main's return
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({
+        "family": "scorbutus",
+        "target": {"theta": PI, "phi": 0.0},
+        "pulses": [{"theta": PI, "phi": 0.0}],
+    }))
+    for argv, code, stream, text in [
+        (["--version"], 0, "stdout", f"pulsesmith {pulsesmith.__version__}\n"),
+        (["synth", "--family", "scorbutus", "--theta", "nan"], 2, "stderr", "must be finite"),
+        (["verify", "--sequence-file", str(bogus)], 3, "stdout", "FAIL family=scorbutus"),
+    ]:
+        run = subprocess.run(
+            [sys.executable, "-m", "pulsesmith.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert run.returncode == code, (argv, run.stderr)
+        assert text in getattr(run, stream)
