@@ -36,6 +36,12 @@ GRID_BLOCK_POINTS = 2048
 rows, at least one): enough to amortise numpy's per-call cost, few enough
 that the intermediate stacks stay small."""
 
+# Veltkamp split of 1e17 = 2**17 * 5**17 (an exact double) into two halves
+# of at most 26 significant bits, for Dekker's product in _fraction_digits
+_VELTKAMP = 2.0**27 + 1.0
+_E17_HI = _VELTKAMP * 1e17 - (_VELTKAMP * 1e17 - 1e17)
+_E17_LO = 1e17 - _E17_HI
+
 
 @dataclass(frozen=True)
 class SlopeReport:
@@ -133,8 +139,12 @@ def infidelity_ray(
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
     t = np.asarray(t_values, dtype=float)
     err = ErrorPair(t * d_eps, t * d_f)
-    target = _rotation_pair(seq.target, NO_ERROR)
-    return (1.0 - _pair_fidelity(_sequence_pair(seq, err), target)).tolist()
+    # an angle that overflows gives inf and NaN entries, which the guard in
+    # _pair_fidelity reports as a ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = _rotation_pair(seq.target, NO_ERROR)
+        fidelity = _pair_fidelity(_sequence_pair(seq, err), target)
+    return (1.0 - fidelity).tolist()
 
 
 def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float, float]:
@@ -263,13 +273,58 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     """
     eps_points = eps_axis.points()
     f_points = f_axis.points()[:, np.newaxis]
-    target = _rotation_pair(seq.target, NO_ERROR)
     rows_per_block = max(1, GRID_BLOCK_POINTS // eps_axis.count)
-    blocks = [
-        _pair_fidelity(_sequence_pair(seq, ErrorPair(eps_points, f_block)), target)
-        for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
-    ]
+    # as in infidelity_ray, the guard reports an overflowing angle
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = _rotation_pair(seq.target, NO_ERROR)
+        blocks = [
+            _pair_fidelity(_sequence_pair(seq, ErrorPair(eps_points, f_block)), target)
+            for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
+        ]
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.concatenate(blocks))
+
+
+def _fraction_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of ``%.17g`` as integers, for values in [0.1, 1).
+
+    Returns ``(digits, in_range)``, both of the shape of ``values``: where
+    ``in_range`` holds, ``"0.%d" % digits`` is the text of ``"%.17g" %
+    value``; elsewhere ``digits`` is meaningless. The 17 significant digits
+    are round_half_even(value * 10**17) with the trailing zeros stripped.
+    Dekker's two-product gives value * 1e17 exactly as hi + lo: hi is a
+    double in [1e16, 1e17], where doubles are even integers, and |lo| <= 8,
+    so rounding lo half to even rounds the sum half to even. Ties occur
+    (odd / 2**18, for one).
+    """
+    # Dekker's product is exact in binary64 only
+    values = np.asarray(values, dtype=np.float64)
+    # NaN compares false, so NaN, +-0, 1.0 and anything below 0.1 are out
+    in_range = (values >= 0.1) & (values < 1.0)
+    # 0.3 prints as 0.29999999999999999: the placeholder costs no strip step
+    x = np.where(in_range, values, 0.3)
+    hi = x * 1e17
+    # Veltkamp split x = xh + xl into halves of at most 26 bits; then
+    # lo = ((xh yh - hi) + xh yl + xl yh) + xl yl with 1e17 = yh + yl,
+    # every product and sum exact. The whole-grid temporaries are reused
+    # in place and dropped early, which keeps the CSV's peak memory down.
+    xh = x * _VELTKAMP
+    xh -= xh - x
+    xl = np.subtract(x, xh, out=x)
+    lo = xh * _E17_HI
+    lo -= hi
+    lo += np.multiply(xh, _E17_LO, out=xh)
+    lo += np.multiply(xl, _E17_HI, out=xh)
+    lo += np.multiply(xl, _E17_LO, out=xl)
+    del x, xh, xl
+    digits = hi.astype(np.int64)
+    del hi
+    digits += np.rint(lo, out=lo).astype(np.int64)
+    flat = digits.reshape(-1)
+    ends_in_zero = np.flatnonzero(flat % 10 == 0)
+    while ends_in_zero.size:
+        flat[ends_in_zero] //= 10
+        ends_in_zero = ends_in_zero[flat[ends_in_zero] % 10 == 0]
+    return digits, in_range
 
 
 def grid_to_csv(grid: FidelityGrid) -> str:
@@ -278,14 +333,24 @@ def grid_to_csv(grid: FidelityGrid) -> str:
 
     Formatting the fidelities is nearly all of the cost, so each f row is
     one ``%`` call: a row template holds the row's epsilon and f texts
-    (each formatted once) around one ``%.17g`` per fidelity, which gives
-    the same bytes as ``:.17g``.
+    (each formatted once) around one conversion per fidelity. A row whose
+    fidelities all lie in [0.1, 1), which is nearly every row of a
+    landscape, prints them as ``0.%d`` from the integers of
+    :func:`_fraction_digits`; any other row prints them with ``%.17g``.
+    Both give the same bytes as ``:.17g``.
     """
     eps_texts = [f"{e:.17g}" for e in grid.eps_axis.points().tolist()]
+    digits, in_range = _fraction_digits(grid.values)
     parts = ["epsilon,f,fidelity\n"]
-    for f, row in zip(grid.f_axis.points().tolist(), grid.values.tolist()):
-        sep = f",{f:.17g},%.17g\n"
-        parts.append((sep.join(eps_texts) + sep) % tuple(row))
+    for f, row, row_digits, exact in zip(
+        grid.f_axis.points().tolist(), grid.values, digits, in_range.all(axis=1)
+    ):
+        if exact:
+            sep = f",{f:.17g},0.%d\n"
+            row = row_digits
+        else:
+            sep = f",{f:.17g},%.17g\n"
+        parts.append((sep.join(eps_texts) + sep) % tuple(row.tolist()))
     return "".join(parts)
 
 

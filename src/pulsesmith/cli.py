@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_angle_arg, required=True)
     p.add_argument("--phi", type=_angle_arg, default=AngleExpr("0", 0.0))
     p.add_argument("--dump-matrix", action="store_true", help="include the zero-error matrix")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_synth)
 
@@ -326,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_options(p)
     p.add_argument("--eps", default="-0.25:0.25:101", help="epsilon axis min:max:count")
     p.add_argument("--f", default="-0.25:0.25:101", help="f axis min:max:count")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("timecompare", help="operation times of SCORBUTUS vs SKinsC")
     p.add_argument("--thetas", default=None, help="target angles min:max:count; default 256 points over (0, pi]")
     p.add_argument("--phi", type=_angle_arg, default=AngleExpr("0", 0.0))
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_timecompare)
 
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, default=0.0, help="off-resonance error")
     p.add_argument("--samples", type=int, default=64, help="samples per pulse")
     p.add_argument("--initial", default="0,0,1", help="initial Bloch vector x,y,z")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_trajectory)
 

@@ -79,6 +79,16 @@ def test_infidelity_ray_fourth_order_for_scorbutus():
     assert 0.5e-4 < ratio < 2e-4
 
 
+def test_overflowing_angle_raises_value_error_without_warnings():
+    # theta (1 + eps) overflows to inf and sin, cos give NaN; the suite
+    # turns RuntimeWarnings into errors, so a warning would fail this test
+    seq = PulseSequence((Pulse(1.5e308, 0.0),), Pulse(1.5e308, 0.0), "custom")
+    with pytest.raises(ValueError, match="non-unitary"):
+        fidelity_grid(seq, AxisSpec(1.0, 1.0, 2), AxisSpec(0.0, 0.0, 2))
+    with pytest.raises(ValueError, match="non-unitary"):
+        infidelity_ray(seq, (1.0, 0.0), [0.5])
+
+
 def test_infidelity_ray_input_validation():
     seq = elementary(PI, 0.0)
     with pytest.raises(ValueError, match="nonzero"):
@@ -416,6 +426,66 @@ def test_grid_csv_bytes_equal_the_per_line_reference(eps_axis, f_axis):
     assert grid_to_csv(grid) == reference
     # linspace keeps the sign of a zero stop, so an axis holds -0.0
     assert "-0," in reference
+
+
+def _odd_over(power):
+    # odd / 2**power in [0.1, 1) has `power` decimals, the last a 5: at
+    # power 18 rounding to 17 digits is an exact tie, at power 22 the part
+    # cut off is a multiple of 1/32 of the last digit
+    low = math.ceil(0.1 * 2**power) // 2
+    return st.integers(low, 2 ** (power - 1) - 1).map(lambda k: (2 * k + 1) / 2**power)
+
+
+IN_RANGE_VALUES = st.one_of(
+    st.floats(0.1, 1.0, exclude_max=True),
+    st.sampled_from([0.1, math.nextafter(0.1, 1.0), math.nextafter(1.0, 0.0), 0.5, 0.125]),
+    _odd_over(18),
+    _odd_over(22),
+)
+# outside [0.1, 1): a row holding one keeps the %.17g template
+OUT_OF_RANGE_VALUES = st.sampled_from(
+    [1.0, math.nextafter(0.1, 0.0), 0.0, -0.0, 5e-324, math.nan]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(2, 6), cols=st.integers(2, 6))
+def test_grid_csv_matches_the_per_value_reference(data, rows, cols):
+    values = np.array(
+        data.draw(st.lists(IN_RANGE_VALUES, min_size=rows * cols, max_size=rows * cols))
+    )
+    cells = st.tuples(st.integers(0, rows * cols - 1), OUT_OF_RANGE_VALUES)
+    for cell, value in data.draw(st.lists(cells, max_size=3)):
+        values[cell] = value
+    eps_axis, f_axis = AxisSpec(-0.25, 0.25, cols), AxisSpec(-0.1, 0.3, rows)
+    grid = FidelityGrid(Pulse(PI, 0.0), "custom", eps_axis, f_axis, values.reshape(rows, cols))
+    reference = "".join(
+        f"{e:.17g},{f:.17g},{v:.17g}\n"
+        for f, row in zip(f_axis.points().tolist(), grid.values.tolist())
+        for e, v in zip(eps_axis.points().tolist(), row)
+    )
+    assert grid_to_csv(grid) == "epsilon,f,fidelity\n" + reference
+
+
+def test_fraction_digits_match_17g_on_a_million_values():
+    rng = np.random.default_rng(1017)
+    tie_18 = (2 * rng.integers(13108, 2**17, 50_000) + 1) / 2**18
+    tie_22 = (2 * rng.integers(209716, 2**21, 50_000) + 1) / 2**22
+    values = np.concatenate([
+        rng.uniform(0.1, 1.0, 900_000),
+        tie_18,
+        tie_22,
+        1.0 - rng.integers(1, 2**20, 20_000) * 2.0**-53,
+        0.1 + rng.integers(0, 2**20, 20_000) * 2.0**-56,
+        [0.1, math.nextafter(0.1, 1.0), math.nextafter(1.0, 0.0), 0.5, 0.125, 0.25],
+    ])
+    digits, in_range = analysis._fraction_digits(values)
+    assert in_range.all()
+    texts = ["0.%d" % d for d in digits.tolist()]
+    mismatches = [v for v, t in zip(values.tolist(), texts) if t != f"{v:.17g}"]
+    assert values.size > 10**6 and mismatches == []
+    outside = np.array([1.0, math.nextafter(0.1, 0.0), 0.0, -0.0, 5e-324, math.nan, math.inf, -0.5])
+    assert not analysis._fraction_digits(outside)[1].any()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -345,6 +345,21 @@ def test_trajectory_non_unitary_rotation_exit_code(argv, capsys):
     assert captured.err.startswith("error:") and "non-unitary" in captured.err
 
 
+def test_grid_overflowing_angle_reports_one_error_line(tmp_path):
+    # the real process, whose default filters would print a RuntimeWarning
+    # for every overflow and invalid sin or cos before the error
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = ["grid", "--family", "elementary", "--theta", "1e308", "--eps", "1:1:2", "--f", "0:0:2"]
+    run = subprocess.run(
+        [sys.executable, "-m", "pulsesmith.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "error: non-unitary operand\n"
+
+
 @pytest.mark.parametrize("command", ["synth", "grid", "verify", "trajectory"])
 @pytest.mark.parametrize("flag", ["--theta", "--phi"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "pi/0"])
