@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import PulseSequence, _sequence_pair, scorbutus, skinsc, total_time
+from .sequences import PulseSequence, scorbutus, skinsc, total_time
 from .su2 import (
     NO_ERROR,
     ErrorPair,
     Pulse,
     Unitary2,
-    _pair_fidelity,
     _pair_matrix,
     _pair_product,
     _rotation_pair,
+    _target_fidelity,
 )
 
 INFIDELITY_FLOOR = 1e-14
@@ -138,13 +138,7 @@ def infidelity_ray(
         if not 0.0 <= t <= 0.5:
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
     t = np.asarray(t_values, dtype=float)
-    err = ErrorPair(t * d_eps, t * d_f)
-    # an angle that overflows gives inf and NaN entries, which the guard in
-    # _pair_fidelity reports as a ValueError
-    with np.errstate(over="ignore", invalid="ignore"):
-        target = _rotation_pair(seq.target, NO_ERROR)
-        fidelity = _pair_fidelity(_sequence_pair(seq, err), target)
-    return (1.0 - fidelity).tolist()
+    return (1.0 - _target_fidelity(seq, ErrorPair(t * d_eps, t * d_f))).tolist()
 
 
 def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float, float]:
@@ -156,16 +150,12 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
     """
     if len(t_values) != len(values):
         raise ValueError("t_values and values must have equal length")
-    kept_t = []
-    kept_v = []
-    for t, v in zip(t_values, values):
-        if v > INFIDELITY_FLOOR:
-            kept_t.append(t)
-            kept_v.append(v)
-    if len(kept_t) < 4:
+    v = np.asarray(values)
+    kept = v > INFIDELITY_FLOOR
+    if np.count_nonzero(kept) < 4:
         raise ValueError("insufficient dynamic range")
-    log_t = np.log(np.asarray(kept_t))
-    log_v = np.log(np.asarray(kept_v))
+    log_t = np.log(np.asarray(t_values)[kept])
+    log_v = np.log(v[kept])
     slope, intercept = np.polyfit(log_t, log_v, 1)
     residual = float(np.max(np.abs(log_v - (slope * log_t + intercept))))
     return float(slope), residual
@@ -274,13 +264,10 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     eps_points = eps_axis.points()
     f_points = f_axis.points()[:, np.newaxis]
     rows_per_block = max(1, GRID_BLOCK_POINTS // eps_axis.count)
-    # as in infidelity_ray, the guard reports an overflowing angle
-    with np.errstate(over="ignore", invalid="ignore"):
-        target = _rotation_pair(seq.target, NO_ERROR)
-        blocks = [
-            _pair_fidelity(_sequence_pair(seq, ErrorPair(eps_points, f_block)), target)
-            for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
-        ]
+    blocks = [
+        _target_fidelity(seq, ErrorPair(eps_points, f_block))
+        for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
+    ]
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.concatenate(blocks))
 
 

@@ -5,10 +5,10 @@ pulse at fraction s means rotating by s * theta with the error model
 unchanged. Trajectories exported here are the raw data behind the usual
 sphere plots; no rendering is done.
 
-A trajectory of k pulses sampled m times each is one (k, m) stack: all k*m
-partial rotations come from one rotation call, each row after the first is
-multiplied by the whole of the pulses before it, and the state is turned
-once over the flattened stack. The result keeps the states as float
+A trajectory of k pulses sampled m times each is one (k, m) stack, built
+from one rotation call over its distinct pulses: each row after the first
+is multiplied by the whole of the pulses before it, and the state is
+turned once over the flattened stack. The result keeps the states as float
 columns; per-sample point objects are built only when asked for.
 """
 
@@ -26,9 +26,9 @@ from .su2 import (
     ErrorPair,
     Pulse,
     Unitary2,
-    _axis_pair,
     _pair_defect,
     _pair_product,
+    _pulse_pairs,
 )
 
 NORM_TOL = 1e-10
@@ -163,20 +163,14 @@ def trajectory(
             raise ValueError(f"trajectory needs a scalar err.{name}, got an array of shape {shape}")
     if not abs(initial.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
-    pulses = seq.pulses
-    # row i - 1 holds pulse i's partial rotations: one call for the whole path
-    theta = np.array([p.theta for p in pulses], dtype=float)[:, np.newaxis]
-    cos_phi = np.array([math.cos(p.phi) for p in pulses])[:, np.newaxis]
-    sin_phi = np.array([math.sin(p.phi) for p in pulses])[:, np.newaxis]
-    # an angle too large for the closed form overflows to NaN: reported
-    # by the guard below instead of by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _axis_pair(theta * _fractions(samples_per_pulse), cos_phi, sin_phi, err)
+    (a, b), rows = _pulse_pairs(seq.pulses, _fractions(samples_per_pulse), err)
     if not _pair_defect((a, b)).max() <= UNITARITY_TOL:  # NaN fails too
         raise ValueError("non-unitary partial rotation: pulse angles or errors too large")
-    # a pulse acts after every earlier one, whose product is the last column
-    # of the row before, already updated
-    for i in range(1, len(pulses)):
+    # row i - 1 of the path holds pulse i's partial rotations; a pulse acts
+    # after every earlier one, whose product is the last column of the row
+    # before, already updated
+    a, b = a.take(rows, axis=0), b.take(rows, axis=0)
+    for i in range(1, len(rows)):
         a[i], b[i] = _pair_product((a[i], b[i]), (a[i - 1, -1], b[i - 1, -1]))
     x, y, z = _turn((a.ravel(), b.ravel()), initial)
     for column in (x, y, z):

@@ -25,7 +25,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,62 +70,50 @@ _PI_FORM = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class AngleExpr:
-    """An angle as typed on the command line plus its value in radians.
+def parse_angle(text: str) -> float:
+    """An angle in radians as typed on the command line.
 
     Grammar: a decimal literal, or "pi", "<a>pi", "pi/<b>", "<a>pi/<b>" with
     a, b positive decimals.
     """
-
-    source: str
-    value: float
-
-    @classmethod
-    def parse(cls, text: str) -> "AngleExpr":
-        s = text.strip()
-        m = _PI_FORM.match(s)
-        if m:
-            value = (float(m.group("a")) if m.group("a") else 1.0) * math.pi
-            if m.group("b"):
-                b = float(m.group("b"))
-                if b == 0.0:
-                    raise ValueError(f"angle {text!r} divides by zero")
-                value /= b
-        else:
-            try:
-                value = float(s)
-            except ValueError:
-                raise ValueError(
-                    f"cannot parse angle {text!r}; use a decimal or pi, 2pi, pi/2, 3pi/4"
-                ) from None
-        if not math.isfinite(value):
-            raise ValueError(f"angle {text!r} must be finite")
-        return cls(s, value)
-
-    @staticmethod
-    def format(value: float) -> str:
-        """Shortest decimal that parses back to the same double."""
-        return repr(value)
+    s = text.strip()
+    m = _PI_FORM.match(s)
+    if m:
+        value = (float(m.group("a")) if m.group("a") else 1.0) * math.pi
+        if m.group("b"):
+            b = float(m.group("b"))
+            if b == 0.0:
+                raise ValueError(f"angle {text!r} divides by zero")
+            value /= b
+    else:
+        try:
+            value = float(s)
+        except ValueError:
+            raise ValueError(
+                f"cannot parse angle {text!r}; use a decimal or pi, 2pi, pi/2, 3pi/4"
+            ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} must be finite")
+    return value
 
 
-def _angle_arg(text: str) -> AngleExpr:
+def _angle_arg(text: str) -> float:
     # argparse prints the message of an ArgumentTypeError, but for a
     # ValueError only "invalid <function name> value"
     try:
-        return AngleExpr.parse(text)
+        return parse_angle(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_axis_spec(text: str) -> AxisSpec:
     """Parse min:max:count with inclusive endpoints; min/max accept the
-    AngleExpr grammar."""
+    parse_angle grammar."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"axis spec {text!r} must be min:max:count")
-    start = AngleExpr.parse(parts[0]).value
-    stop = AngleExpr.parse(parts[1]).value
+    start = parse_angle(parts[0])
+    stop = parse_angle(parts[1])
     try:
         count = int(parts[2])
     except ValueError:
@@ -155,8 +142,10 @@ def _resolve_sequence(args: argparse.Namespace) -> PulseSequence:
     invalid combinations with one aggregated message."""
     problems = []
     if args.sequence_file:
-        if args.family or args.theta:
+        if args.family or args.theta is not None:
             problems.append("--sequence-file excludes --family and --theta")
+        if args.phi is not None:
+            problems.append("--sequence-file excludes --phi")
         if problems:
             raise ValueError("; ".join(problems))
         with open(args.sequence_file, "r", encoding="utf-8") as fh:
@@ -169,15 +158,15 @@ def _resolve_sequence(args: argparse.Namespace) -> PulseSequence:
         return sequence_from_dict(data)
     if not args.family:
         problems.append("--family is required unless --sequence-file is given")
-    if not args.theta:
+    if args.theta is None:
         problems.append("--theta is required unless --sequence-file is given")
     if problems:
         raise ValueError("; ".join(problems))
-    return synthesize(args.family, args.theta.value, args.phi.value)
+    return synthesize(args.family, args.theta, 0.0 if args.phi is None else args.phi)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    seq = synthesize(args.family, args.theta.value, args.phi.value)
+    seq = synthesize(args.family, args.theta, args.phi)
     payload = sequence_to_dict(seq)
     if args.dump_matrix:
         payload["matrix"] = matrix_to_dict(compose_with_errors(seq, NO_ERROR))
@@ -249,7 +238,7 @@ def cmd_timecompare(args: argparse.Namespace) -> int:
     else:
         # 256 points over (0, pi]
         thetas = [float(t) for t in np.linspace(0.0, math.pi, 257)[1:]]
-    rows = time_compare(thetas, args.phi.value)
+    rows = time_compare(thetas, args.phi)
     if args.format == "csv":
         text = time_compare_to_csv(rows)
     else:
@@ -282,9 +271,7 @@ def _add_target_options(sub: argparse.ArgumentParser) -> None:
         help="sequence family to synthesize",
     )
     sub.add_argument("--theta", type=_angle_arg, default=None, help="target angle")
-    sub.add_argument(
-        "--phi", type=_angle_arg, default=AngleExpr("0", 0.0), help="target phase"
-    )
+    sub.add_argument("--phi", type=_angle_arg, default=None, help="target phase")
     sub.add_argument(
         "--sequence-file",
         default=None,
@@ -309,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="build a sequence and print its JSON")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--theta", type=_angle_arg, required=True)
-    p.add_argument("--phi", type=_angle_arg, default=AngleExpr("0", 0.0))
+    p.add_argument("--phi", type=_angle_arg, default=0.0)
     p.add_argument("--dump-matrix", action="store_true", help="include the zero-error matrix")
     p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["json"], default="json")
@@ -332,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timecompare", help="operation times of SCORBUTUS vs SKinsC")
     p.add_argument("--thetas", default=None, help="target angles min:max:count; default 256 points over (0, pi]")
-    p.add_argument("--phi", type=_angle_arg, default=AngleExpr("0", 0.0))
+    p.add_argument("--phi", type=_angle_arg, default=0.0)
     p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_timecompare)

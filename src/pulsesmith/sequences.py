@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, _pair_matrix, _pair_product, _rotation_pair
+from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, _pair_matrix, _sequence_pair
 
 BISECT_MAX_ITER = 200
 BISECT_X_TOL = 1e-15
@@ -222,25 +222,6 @@ def total_time(seq: PulseSequence) -> float:
     """Sum of pulse angles: the dimensionless duration of the sequence.
     Phases do not enter."""
     return math.fsum(p.theta for p in seq.pulses)
-
-
-def _sequence_pair(seq: PulseSequence, err: ErrorPair):
-    # Cayley-Klein pair of the whole sequence, every pulse deformed by err;
-    # the product runs in application order, later pulses on the left.
-    # Families repeat pulses (scorbutus has 3 distinct of 5), so each
-    # distinct pulse is rotated once per call. The key carries the sign of
-    # theta, because Pulse(0.0, phi) == Pulse(-0.0, phi) but their pairs can
-    # differ in the sign of a zero.
-    if not seq.pulses:
-        raise ValueError("empty sequence")
-    pairs = {}
-    acc = None
-    for p in seq.pulses:
-        key = (p, math.copysign(1.0, p.theta))
-        if key not in pairs:
-            pairs[key] = _rotation_pair(p, err)
-        acc = pairs[key] if acc is None else _pair_product(pairs[key], acc)
-    return acc
 
 
 def compose_with_errors(seq: PulseSequence, err: ErrorPair) -> Unitary2:

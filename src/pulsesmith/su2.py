@@ -144,6 +144,42 @@ def _pair_fidelity(pair, target):
     return np.minimum(1.0, np.abs((c.conj() * a + d.conj() * b).real))
 
 
+def _pulse_pairs(pulses, fractions, err: ErrorPair):
+    # Pairs of the distinct pulses after each fraction of their angle, as a
+    # (distinct pulses, fractions, *error shape) stack from one _axis_pair
+    # call, and the stack row of each pulse in application order. The key
+    # carries the sign of theta, because Pulse(0.0, phi) == Pulse(-0.0, phi)
+    # but their pairs can differ in the sign of a zero. An angle too large
+    # for the closed form overflows to a NaN pair: reported by the pair
+    # guards instead of by numpy warnings.
+    keys = {}
+    rows = [keys.setdefault((p, math.copysign(1.0, p.theta)), len(keys)) for p in pulses]
+    trailing = (1,) * np.broadcast(err.epsilon, err.f).ndim
+    columns = np.array([(p.theta, math.cos(p.phi), math.sin(p.phi)) for p, _ in keys], dtype=float)
+    theta, cos_phi, sin_phi = columns.T.reshape((3, -1, 1) + trailing)
+    theta = theta * np.array(fractions, dtype=float).reshape((-1,) + trailing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _axis_pair(theta, cos_phi, sin_phi, err), rows
+
+
+def _sequence_pair(seq, err: ErrorPair):
+    # pair of the whole sequence, every pulse deformed by err; the product
+    # runs in application order, later pulses on the left
+    if not seq.pulses:
+        raise ValueError("empty sequence")
+    (a, b), rows = _pulse_pairs(seq.pulses, (1.0,), err)
+    acc = a[rows[0], 0], b[rows[0], 0]
+    for r in rows[1:]:
+        acc = _pair_product((a[r, 0], b[r, 0]), acc)
+    return acc
+
+
+def _target_fidelity(seq, err: ErrorPair):
+    # fidelity of the sequence under err against its ideal target; the pair
+    # guard raises ValueError for an angle that overflowed
+    return _pair_fidelity(_sequence_pair(seq, err), _rotation_pair(seq.target, NO_ERROR))
+
+
 def rotation(pulse: Pulse) -> Unitary2:
     """Ideal rotation cos(theta/2) I - i sin(theta/2) (cos phi sx + sin phi sy)."""
     return _pair_matrix(_rotation_pair(pulse, NO_ERROR))

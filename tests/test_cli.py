@@ -10,7 +10,7 @@ import pytest
 
 import pulsesmith
 from pulsesmith import cli
-from pulsesmith.cli import AngleExpr, main, parse_axis_spec, parse_bloch_vector
+from pulsesmith.cli import main, parse_angle, parse_axis_spec, parse_bloch_vector
 from pulsesmith.sequences import FAMILY_SPECS
 
 PI = math.pi
@@ -20,32 +20,32 @@ PI = math.pi
 
 
 def test_angle_expr_frozen_values():
-    assert AngleExpr.parse("pi/2").value == 1.5707963267948966
-    assert AngleExpr.parse("pi").value == PI
-    assert AngleExpr.parse("2pi").value == 2 * PI
-    assert AngleExpr.parse("1.0").value == 1.0
-    assert AngleExpr.parse("3pi/4").value == 3 * PI / 4
-    assert AngleExpr.parse("0.5pi").value == 0.5 * PI
-    assert AngleExpr.parse("-0.25").value == -0.25
+    assert parse_angle("pi/2") == 1.5707963267948966
+    assert parse_angle("pi") == PI
+    assert parse_angle("2pi") == 2 * PI
+    assert parse_angle("1.0") == 1.0
+    assert parse_angle("3pi/4") == 3 * PI / 4
+    assert parse_angle("0.5pi") == 0.5 * PI
+    assert parse_angle("-0.25") == -0.25
 
 
 def test_angle_expr_round_trip_is_exact():
     rng = np.random.default_rng(3)
     for x in list(rng.uniform(-10, 10, size=100)) + [PI, 2 * PI, 0.1]:
         x = float(x)
-        assert AngleExpr.parse(AngleExpr.format(x)).value == x
+        assert parse_angle(repr(x)) == x
 
 
 @pytest.mark.parametrize("bad", ["", "pie", "2pipi", "pi/0", "1..2", "pi/-2"])
 def test_angle_expr_rejects_garbage(bad):
     with pytest.raises(ValueError):
-        AngleExpr.parse(bad)
+        parse_angle(bad)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "-1e400", "9" * 400 + "pi"])
 def test_angle_expr_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="must be finite"):
-        AngleExpr.parse(bad)
+        parse_angle(bad)
 
 
 def test_axis_spec_parsing():
@@ -188,6 +188,21 @@ def test_verify_flag_conflicts_are_aggregated(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "--family is required" in err and "--theta is required" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "grid", "trajectory"])
+@pytest.mark.parametrize("option", [["--phi", "1.3"], ["--phi", "0"], ["--theta", "0"]])
+def test_sequence_file_rejects_target_options(command, option, tmp_path, capsys):
+    # a parsed 0.0 is falsy, so a zero angle must be rejected too
+    path = tmp_path / "seq.json"
+    main(["synth", "--family", "elementary", "--theta", "pi", "--out", str(path)])
+    capsys.readouterr()
+    code = main([command, "--sequence-file", str(path)] + option)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and option[0] in lines[0]
 
 
 def test_verify_rejects_a_family_it_cannot_certify(tmp_path, capsys):

@@ -43,11 +43,14 @@ def test_layer_functions_resolve(perfbench):
 
 @pytest.mark.parametrize("workload", ["landscape", "survey"])
 def test_one_block_runs_and_checks(perfbench, workload):
+    # two blocks of each of seeds 1-3, so that an op a benchmark run would
+    # count as failed fails here first
     _, workloads = perfbench
-    w = workloads.WORKLOADS[workload](seed=1)
-    for i in range(w.block):
-        inp = w.make_input(i)
-        assert w.check(inp, w.run(inp)) is None
+    for seed in (1, 2, 3):
+        w = workloads.WORKLOADS[workload](seed=seed)
+        for i in range(2 * w.block):
+            inp = w.make_input(i)
+            assert w.check(inp, w.run(inp)) is None, (seed, i)
 
 
 def test_survey_verdict_and_palindrome_rule_match_the_package(perfbench):

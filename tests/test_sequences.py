@@ -11,7 +11,6 @@ from pulsesmith.sequences import (
     SINC_BRANCH_END,
     SINC_BRANCH_FLOOR,
     PulseSequence,
-    _sequence_pair,
     arcsinc,
     compose_with_errors,
     elementary,
@@ -32,6 +31,7 @@ from pulsesmith.su2 import (
     Pulse,
     _pair_product,
     _rotation_pair,
+    _sequence_pair,
     compose,
     frobenius_distance,
     gate_fidelity,
@@ -428,18 +428,21 @@ DISTINCT_PULSES = {"scrofulous": 2, "scorbutus": 3, "skinsc": 5, "signed-zero": 
 
 @pytest.mark.parametrize("name", REPEATED_PULSES)
 def test_sequence_pair_rotates_each_distinct_pulse_once(name, monkeypatch):
-    from pulsesmith import sequences
+    # one rotation call per product, over a stack of the distinct pulses
+    from pulsesmith import su2
 
-    rotated = []
+    axis_pair = su2._axis_pair
+    stacks = []
 
-    def counting(pulse, err):
-        rotated.append(pulse)
-        return _rotation_pair(pulse, err)
+    def counting(theta, cos_phi, sin_phi, err):
+        stacks.append(np.shape(theta))
+        return axis_pair(theta, cos_phi, sin_phi, err)
 
-    monkeypatch.setattr(sequences, "_rotation_pair", counting)
+    monkeypatch.setattr(su2, "_axis_pair", counting)
     seq = PulseSequence(REPEATED_PULSES[name], Pulse(PI, 0.0), "custom")
     _sequence_pair(seq, ErrorPair(0.1, -0.2))
-    assert len(rotated) == DISTINCT_PULSES[name]
+    assert len(stacks) == 1
+    assert stacks[0][0] == DISTINCT_PULSES[name]
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)

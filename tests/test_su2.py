@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from pulsesmith.sequences import PulseSequence, _sequence_pair
+from pulsesmith.sequences import PulseSequence
 from pulsesmith.su2 import (
     NO_ERROR,
     SIGMA_0,
@@ -22,6 +22,7 @@ from pulsesmith.su2 import (
     _pair_defect,
     _pair_fidelity,
     _rotation_pair,
+    _sequence_pair,
     compose,
     frobenius_distance,
     gate_fidelity,
