@@ -5,6 +5,8 @@ rotation, simulates them under pulse-length and off-resonance errors, and
 certifies their robustness orders, operation times, and fidelity landscapes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     AxisSpec,
     FidelityGrid,
@@ -67,56 +69,5 @@ from .su2 import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisSpec",
-    "BlochVector",
-    "ErrorPair",
-    "FAMILIES",
-    "FidelityGrid",
-    "NORTH_POLE",
-    "NO_ERROR",
-    "OreResidualReport",
-    "Pulse",
-    "PulseSequence",
-    "SIGMA_0",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SOUTH_POLE",
-    "SlopeReport",
-    "TimeComparisonRow",
-    "Trajectory",
-    "TrajectoryPoint",
-    "Unitary2",
-    "alpha_coefficient",
-    "apply_to_state",
-    "arcsinc",
-    "compose",
-    "compose_with_errors",
-    "elementary",
-    "fidelity_grid",
-    "first_order_coefficient",
-    "fit_loglog_slope",
-    "frobenius_distance",
-    "gate_fidelity",
-    "infidelity_ray",
-    "matrix_from_dict",
-    "matrix_to_dict",
-    "normalize_phase",
-    "rotation",
-    "rotation_with_error",
-    "scorbutus",
-    "scrofulous",
-    "sequence_from_dict",
-    "sequence_to_dict",
-    "sinc",
-    "skinsc",
-    "slope_report",
-    "switchback_replace",
-    "symmetric_ore_residual",
-    "synthesize",
-    "theta_r_from_condition",
-    "time_compare",
-    "total_time",
-    "trajectory",
-]
+# the names imported above, without the submodules that the imports also bind
+__all__ = sorted(n for n, v in globals().items() if not (n[0] == "_" or isinstance(v, _ModuleType)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import PulseSequence, scorbutus, skinsc, total_time
+from .sequences import PulseSequence, synthesize, total_time
 from .su2 import (
     NO_ERROR,
     ErrorPair,
@@ -166,7 +166,8 @@ def slope_report(
 ) -> SlopeReport:
     """Run :func:`infidelity_ray` and fit its log-log slope."""
     unit = _unit_ray(ray)
-    infidelities = infidelity_ray(seq, unit, t_values)
+    # given unit, infidelity_ray would normalise twice and miss it by an ulp
+    infidelities = infidelity_ray(seq, ray, t_values)
     slope, residual = fit_loglog_slope(t_values, infidelities)
     return SlopeReport(unit, tuple(t_values), tuple(infidelities), slope, residual)
 
@@ -355,18 +356,14 @@ def time_compare(theta_values: list[float], phi: float = 0.0) -> list[TimeCompar
     rows = []
     for theta in theta_values:
         theta = float(theta)
-        notes = []
-        scorbutus_time = None
-        skinsc_time = None
-        try:
-            scorbutus_time = total_time(scorbutus(theta, phi))
-        except ValueError as exc:
-            notes.append(f"scorbutus: {exc}")
-        try:
-            skinsc_time = total_time(skinsc(theta, phi))
-        except ValueError as exc:
-            notes.append(f"skinsc: {exc}")
-        rows.append(TimeComparisonRow(theta, scorbutus_time, skinsc_time, "; ".join(notes)))
+        times, notes = [], []
+        for family in ("scorbutus", "skinsc"):
+            try:
+                times.append(total_time(synthesize(family, theta, phi)))
+            except ValueError as exc:
+                times.append(None)
+                notes.append(f"{family}: {exc}")
+        rows.append(TimeComparisonRow(theta, *times, "; ".join(notes)))
     return rows
 
 

@@ -29,6 +29,7 @@ from .su2 import (
     _pair_defect,
     _pair_product,
     _pulse_pairs,
+    unitarity_defect,
 )
 
 NORM_TOL = 1e-10
@@ -65,15 +66,16 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
 
     A unitary is e^{i gamma} [[a, -b*], [b, a*]] with det U = e^{2 i gamma},
     so dividing its first column by a square root of the determinant leaves
-    the pair (a, b) up to a sign, which the turn does not see.
+    the pair (a, b) up to a sign, which the turn does not see. Raises if any
+    matrix of U is not unitary, NaN entries included, like gate_fidelity.
     """
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
     U = np.asarray(U, dtype=complex)
-    # a NaN entry gives NaN fields, without an invalid-value warning
-    with np.errstate(invalid="ignore"):
-        root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
-        x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)
+    if not np.all(unitarity_defect(U) <= UNITARITY_TOL):
+        raise ValueError("non-unitary operand")
+    root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
+    x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)
     if x.ndim == 0:
         return BlochVector(float(x), float(y), float(z))
     return BlochVector(x, y, z)

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     AxisSpec,
+    FidelityGrid,
     _is_palindromic,
     fidelity_grid,
     grid_to_csv,
@@ -129,9 +130,15 @@ def parse_bloch_vector(text: str) -> BlochVector:
     return BlochVector(x, y, z)
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, value, to_csv=None, to_dict=None) -> None:
+    """Write value to args.out, or stdout without one, as args.format: CSV by
+    to_csv, or the indented JSON of to_dict(value), or of value without it."""
+    if args.format == "csv":
+        text = to_csv(value)
+    else:
+        text = json.dumps(value if to_dict is None else to_dict(value), indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -170,7 +177,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     payload = sequence_to_dict(seq)
     if args.dump_matrix:
         payload["matrix"] = matrix_to_dict(compose_with_errors(seq, NO_ERROR))
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -217,33 +224,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "ore_residual": residual_report.to_dict() if residual_report else None,
             "pass": ok,
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(args, payload)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     seq = _resolve_sequence(args)
     grid = fidelity_grid(seq, parse_axis_spec(args.eps), parse_axis_spec(args.f))
-    if args.format == "csv":
-        text = grid_to_csv(grid)
-    else:
-        text = json.dumps(grid.to_dict(), indent=2) + "\n"
-    _write_output(text, args.out)
+    _emit(args, grid, grid_to_csv, FidelityGrid.to_dict)
     return EXIT_OK
 
 
 def cmd_timecompare(args: argparse.Namespace) -> int:
     if args.thetas:
-        thetas = [float(t) for t in parse_axis_spec(args.thetas).points()]
+        thetas = parse_axis_spec(args.thetas).points()
     else:
         # 256 points over (0, pi]
-        thetas = [float(t) for t in np.linspace(0.0, math.pi, 257)[1:]]
+        thetas = AxisSpec(0.0, math.pi, 257).points()[1:]
     rows = time_compare(thetas, args.phi)
-    if args.format == "csv":
-        text = time_compare_to_csv(rows)
-    else:
-        text = json.dumps(time_compare_to_dict(rows), indent=2) + "\n"
-    _write_output(text, args.out)
+    _emit(args, rows, time_compare_to_csv, time_compare_to_dict)
     return EXIT_OK
 
 
@@ -255,11 +254,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         initial=parse_bloch_vector(args.initial),
         samples_per_pulse=args.samples,
     )
-    if args.format == "csv":
-        text = trajectory_to_csv(traj)
-    else:
-        text = json.dumps(trajectory_to_dict(traj), indent=2) + "\n"
-    _write_output(text, args.out)
+    _emit(args, traj, trajectory_to_csv, trajectory_to_dict)
     return EXIT_OK
 
 

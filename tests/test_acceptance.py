@@ -10,7 +10,11 @@ failure is the FAIL line.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from pulsesmith.analysis import (
     symmetric_ore_residual,
 )
 from pulsesmith.bloch import NORTH_POLE, SOUTH_POLE, trajectory
-from pulsesmith.cli import main
 from pulsesmith.sequences import (
     FAMILIES,
     PulseSequence,
@@ -237,19 +240,31 @@ def test_acceptance_8_bloch_trajectory():
           f"{d_el:.4f} for the bare pulse; all 321 points unit norm [{elapsed:.2f}s]")
 
 
-def test_acceptance_9_cli_determinism(tmp_path, monkeypatch):
-    argv = ["grid", "--family", "scorbutus", "--theta", "pi"]
+def test_acceptance_9_cli_determinism(tmp_path):
+    # separate processes, as a shell runs them, with different hash seeds;
+    # PULSESMITH_THREADS is read by nothing, so even a bad value changes
+    # nothing. The last process writes to stdout instead of --out.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("PULSESMITH_THREADS", None)
+    argv = [sys.executable, "-m", "pulsesmith.cli", "grid", "--family", "scorbutus", "--theta", "pi"]
     outputs = []
-    for name, threads in (("a", None), ("b", "1"), ("c", "4")):
-        if threads is None:
-            monkeypatch.delenv("PULSESMITH_THREADS", raising=False)
+    for seed, extra, to_file in (("0", {}, True), ("1", {}, True),
+                                 ("2", {"PULSESMITH_THREADS": "lots"}, False)):
+        path = tmp_path / f"{seed}.csv"
+        run = subprocess.run(
+            argv + (["--out", str(path)] if to_file else []),
+            capture_output=True, env=dict(env, PYTHONHASHSEED=seed, **extra),
+            cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0 and run.stderr == b"", run.stderr
+        if to_file:
+            assert run.stdout == b""
+            outputs.append(path.read_bytes())
         else:
-            monkeypatch.setenv("PULSESMITH_THREADS", threads)
-        path = tmp_path / f"{name}.csv"
-        assert main(argv + ["--out", str(path)]) == 0
-        outputs.append(path.read_bytes())
+            outputs.append(run.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
     rows = outputs[0].decode().strip().split("\n")
     assert len(rows) == 1 + 101 * 101
     print("\nACCEPTANCE 9 PASS: default 101x101 grid byte-identical across "
-          "repeat runs and PULSESMITH_THREADS in {1, 4}")
+          "separate processes, hash seeds and PULSESMITH_THREADS settings")

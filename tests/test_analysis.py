@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pulsesmith import analysis
+from pulsesmith import analysis, su2
 from pulsesmith.analysis import (
     GRID_BLOCK_POINTS,
     AxisSpec,
@@ -97,6 +97,23 @@ def test_infidelity_ray_input_validation():
         infidelity_ray(seq, (1.0, 0.0), [0.6])
     with pytest.raises(ValueError, match="outside"):
         infidelity_ray(seq, (1.0, 0.0), [-0.1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_slope_report_points_lie_on_its_ray(family):
+    # the reported unit ray is the one evaluated: each infidelity is 1 - F
+    # at exactly t * report.ray, with no second normalisation in between
+    rng = np.random.default_rng(11)
+    rays = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    rays += [tuple(float(c) for c in rng.normal(size=2)) for _ in range(12)]
+    t = np.asarray(T_VALUES)
+    for theta in (0.3, PI / 2, 2.0, PI):
+        seq = synthesize(family, theta, 0.4)
+        for ray in rays:
+            report = slope_report(seq, ray, T_VALUES)
+            d_eps, d_f = report.ray
+            want = 1.0 - su2._target_fidelity(seq, ErrorPair(t * d_eps, t * d_f))
+            assert report.infidelities == tuple(want.tolist()), (theta, ray)
 
 
 # ------------------------------------------------------------ slope fitting

@@ -23,7 +23,15 @@ from pulsesmith.sequences import (
     sequence_from_dict,
     synthesize,
 )
-from pulsesmith.su2 import SIGMA_0, ErrorPair, Pulse, _pair_product, _rotation_pair, rotation
+from pulsesmith.su2 import (
+    SIGMA_0,
+    ErrorPair,
+    Pulse,
+    _pair_product,
+    _rotation_pair,
+    gate_fidelity,
+    rotation,
+)
 
 PI = math.pi
 NORM_TOL = 1e-10
@@ -88,13 +96,18 @@ def test_norm_and_distance_on_a_stack_match_single_matrices():
         assert gaps[k] == single.distance(SOUTH_POLE)
 
 
-def test_apply_to_stack_with_nan_matrix_is_not_a_unit_vector():
-    stack = np.stack([rotation(Pulse(PI / 3, 0.2)), np.full((2, 2), np.nan + 0j), SIGMA_0])
-    out = apply_to_state(stack, NORTH_POLE)
-    norms = np.sqrt(out.x**2 + out.y**2 + out.z**2)
-    assert not np.isfinite(norms[1])
-    assert abs(norms[0] - 1.0) <= NORM_TOL
-    assert (out.x[2], out.y[2], out.z[2]) == (0.0, 0.0, 1.0)
+def test_apply_rejects_non_unitary_matrices():
+    # the guard of gate_fidelity, over the whole stack: one bad matrix fails it
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])  # maps (1, 0, 0) to itself
+    projector = np.array([[1.0, 0.0], [0.0, 0.0]])  # determinant zero
+    nan = np.full((2, 2), np.nan + 0j)
+    inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    for bad in (shear, projector, nan, inf, 1.5 * SIGMA_0):
+        for U in (bad, np.stack([rotation(Pulse(PI / 3, 0.2)), bad, SIGMA_0])):
+            with pytest.raises(ValueError, match="non-unitary operand"):
+                apply_to_state(U, BlochVector(1.0, 0.0, 0.0))
+            with pytest.raises(ValueError, match="non-unitary operand"):
+                gate_fidelity(U, U)
 
 
 def test_apply_takes_a_real_matrix():

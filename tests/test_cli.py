@@ -287,38 +287,48 @@ def test_grid_small_csv(capsys):
     assert float(center[2]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grid_deterministic_across_threads(tmp_path, monkeypatch):
+def _run_cli(argv, cwd, **env_extra):
+    # the real process, as a shell runs it, with the package from src/
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("PULSESMITH_THREADS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pulsesmith.cli", *argv],
+        capture_output=True, env=dict(env, **env_extra), cwd=cwd, timeout=60,
+    )
+
+
+def test_grid_deterministic_across_threads(tmp_path):
     argv = [
         "grid", "--family", "scorbutus", "--theta", "pi/2",
         "--eps", "-0.25:0.25:11", "--f", "-0.25:0.25:11",
     ]
     outs = []
-    # the variable is not read; no setting may change the bytes
-    for name, threads in (("a", None), ("b", "1"), ("c", "4"), ("d", "lots")):
-        if threads is None:
-            monkeypatch.delenv("PULSESMITH_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("PULSESMITH_THREADS", threads)
-        path = tmp_path / f"{name}.csv"
-        assert main(argv + ["--out", str(path)]) == 0
+    # separate processes with different hash seeds; the variable is not
+    # read, so no setting may change the bytes
+    for seed, threads in (("0", None), ("1", "1"), ("2", "4"), ("3", "lots")):
+        extra = {"PYTHONHASHSEED": seed}
+        if threads is not None:
+            extra["PULSESMITH_THREADS"] = threads
+        path = tmp_path / f"{seed}.csv"
+        run = _run_cli(argv + ["--out", str(path)], tmp_path, **extra)
+        assert run.returncode == 0 and run.stdout == b"" and run.stderr == b"", run.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
-def test_grid_bad_threads_env(monkeypatch, capsys):
+def test_grid_bad_threads_env(tmp_path):
     # a value that once exited 2 is now ignored like any other
     argv = [
         "grid", "--family", "elementary", "--theta", "pi",
         "--eps", "-0.1:0.1:3", "--f", "-0.1:0.1:3",
     ]
-    monkeypatch.delenv("PULSESMITH_THREADS", raising=False)
-    assert main(argv) == 0
-    expected = capsys.readouterr().out
-    monkeypatch.setenv("PULSESMITH_THREADS", "lots")
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == expected
-    assert captured.err == ""
+    plain = _run_cli(argv, tmp_path)
+    assert plain.returncode == 0 and plain.stderr == b"", plain.stderr
+    lots = _run_cli(argv, tmp_path, PULSESMITH_THREADS="lots")
+    assert lots.returncode == 0
+    assert lots.stdout == plain.stdout
+    assert lots.stderr == b""
 
 
 def test_grid_json_format(capsys):
@@ -487,8 +497,6 @@ def test_version_matches_pyproject():
 
 def test_cli_process_exit_codes(tmp_path):
     # the real process, as a shell runs it: exit status, not main's return
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     bogus = tmp_path / "bogus.json"
     bogus.write_text(json.dumps({
         "family": "scorbutus",
@@ -500,9 +508,6 @@ def test_cli_process_exit_codes(tmp_path):
         (["synth", "--family", "scorbutus", "--theta", "nan"], 2, "stderr", "must be finite"),
         (["verify", "--sequence-file", str(bogus)], 3, "stdout", "FAIL family=scorbutus"),
     ]:
-        run = subprocess.run(
-            [sys.executable, "-m", "pulsesmith.cli", *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
-        )
+        run = _run_cli(argv, tmp_path)
         assert run.returncode == code, (argv, run.stderr)
-        assert text in getattr(run, stream)
+        assert text in getattr(run, stream).decode()
