@@ -90,6 +90,8 @@ class AxisSpec:
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"axis bounds must be finite, got {self.start!r}:{self.stop!r}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"axis span {self.start!r}:{self.stop!r} overflows")
         if self.count < 2:
             raise ValueError(f"axis needs at least two points, got count {self.count!r}")
 
@@ -146,15 +148,26 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
 
     Points at or below the double-precision infidelity floor are dropped; at
     least 4 points must survive. Returns (slope, max abs log-deviation from
-    the fit line).
+    the fit line). Raises ValueError for a non-finite value, and for kept
+    points whose t are not all finite and positive or whose log t are all
+    equal.
     """
     if len(t_values) != len(values):
         raise ValueError("t_values and values must have equal length")
+    # the checks run on Python floats, which for a dozen points costs a
+    # quarter of the same checks as numpy calls
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
     v = np.asarray(values)
     kept = v > INFIDELITY_FLOOR
     if np.count_nonzero(kept) < 4:
         raise ValueError("insufficient dynamic range")
-    log_t = np.log(np.asarray(t_values)[kept])
+    t = np.asarray(t_values)[kept]
+    if not all(0.0 < x < math.inf for x in t.tolist()):
+        raise ValueError("t of the kept points must be finite and positive")
+    log_t = np.log(t)
+    if len(set(log_t.tolist())) < 2:
+        raise ValueError("the kept points need at least two distinct t")
     log_v = np.log(v[kept])
     slope, intercept = np.polyfit(log_t, log_v, 1)
     residual = float(np.max(np.abs(log_v - (slope * log_t + intercept))))

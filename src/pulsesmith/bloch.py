@@ -22,13 +22,13 @@ import numpy as np
 
 from .sequences import PulseSequence
 from .su2 import (
-    UNITARITY_TOL,
     ErrorPair,
     Pulse,
     Unitary2,
     _pair_defect,
     _pair_product,
     _pulse_pairs,
+    _require_unitary,
     unitarity_defect,
 )
 
@@ -72,8 +72,7 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
     U = np.asarray(U, dtype=complex)
-    if not np.all(unitarity_defect(U) <= UNITARITY_TOL):
-        raise ValueError("non-unitary operand")
+    _require_unitary(unitarity_defect(U))
     root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
     x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)
     if x.ndim == 0:
@@ -166,8 +165,9 @@ def trajectory(
     if not abs(initial.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
     (a, b), rows = _pulse_pairs(seq.pulses, _fractions(samples_per_pulse), err)
-    if not _pair_defect((a, b)).max() <= UNITARITY_TOL:  # NaN fails too
-        raise ValueError("non-unitary partial rotation: pulse angles or errors too large")
+    _require_unitary(
+        _pair_defect((a, b)), message="non-unitary partial rotation: pulse angles or errors too large"
+    )
     # row i - 1 of the path holds pulse i's partial rotations; a pulse acts
     # after every earlier one, whose product is the last column of the row
     # before, already updated

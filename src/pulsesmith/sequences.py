@@ -86,6 +86,12 @@ def elementary(theta: float, phi: float) -> PulseSequence:
     return PulseSequence((target,), target, "elementary")
 
 
+def _scrofulous_acos(x: float, phase: str) -> float:
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"scrofulous: arccos argument {x!r} for {phase} outside [-1, 1]")
+    return math.acos(x)
+
+
 def scrofulous(theta: float, phi: float) -> PulseSequence:
     """Three-pulse sequence cancelling first-order pulse length error.
 
@@ -98,17 +104,8 @@ def scrofulous(theta: float, phi: float) -> PulseSequence:
     s = math.sin(0.5 * theta)
     # a target angle of a few subnormals has s == 0: the argument diverges
     a1 = -math.pi * math.cos(theta1) / (2.0 * theta1 * s) if s else -math.inf
-    if not -1.0 <= a1 <= 1.0:
-        raise ValueError(
-            f"scrofulous: arccos argument {a1!r} for phi_1 outside [-1, 1]"
-        )
-    phi1 = phi + math.acos(a1)
-    a2 = -math.pi / (2.0 * theta1)
-    if not -1.0 <= a2 <= 1.0:
-        raise ValueError(
-            f"scrofulous: arccos argument {a2!r} for phi_2 outside [-1, 1]"
-        )
-    phi2 = phi1 - math.acos(a2)
+    phi1 = phi + _scrofulous_acos(a1, "phi_1")
+    phi2 = phi1 - _scrofulous_acos(-math.pi / (2.0 * theta1), "phi_2")
     side = Pulse(theta1, phi1)
     return PulseSequence((side, Pulse(math.pi, phi2), side), Pulse(theta, phi), "scrofulous")
 
@@ -162,10 +159,8 @@ def skinsc(theta: float, phi: float) -> PulseSequence:
     a = math.asin(0.5 * math.sin(0.5 * theta))
     theta1 = 0.5 * theta - a
     theta2 = TWO_PI - 0.5 * theta - a
-    c = -(TWO_PI - theta) / (4.0 * math.pi)
-    if not -1.0 <= c <= 1.0:
-        raise ValueError(f"skinsc: arccos argument {c!r} outside [-1, 1]")
-    chi = math.acos(c)
+    # in [-1/2, 0) for every admitted theta, so always in arccos's domain
+    chi = math.acos(-(TWO_PI - theta) / (4.0 * math.pi))
     pulses = (
         Pulse(theta1, phi),
         Pulse(theta2, phi + math.pi),

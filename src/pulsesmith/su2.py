@@ -132,14 +132,20 @@ def _pair_defect(pair):
     return math.sqrt(2.0) * np.abs(norm - 1.0)
 
 
+def _require_unitary(*defects, message="non-unitary operand"):
+    # the one unitarity test: ValueError(message) unless every defect of
+    # every stack is within UNITARITY_TOL; a NaN compares false, so it fails
+    for defect in defects:
+        if not np.all(defect <= UNITARITY_TOL):
+            raise ValueError(message)
+
+
 def _pair_fidelity(pair, target):
     # gate_fidelity of the two pairs' matrices, with the pair guard:
     # tr(U^dagger V) = 2 Re(a* c + b* d) is real for special unitaries. Taken
     # through numpy's complex products, which round like gate_fidelity's
     # entrywise ones, so both give the same bits.
-    for operand in (pair, target):
-        if not np.all(_pair_defect(operand) <= UNITARITY_TOL):
-            raise ValueError("non-unitary operand")
+    _require_unitary(_pair_defect(pair), _pair_defect(target))
     (a, b), (c, d) = pair, target
     return np.minimum(1.0, np.abs((c.conj() * a + d.conj() * b).real))
 
@@ -197,28 +203,20 @@ def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
     return _pair_matrix(_rotation_pair(pulse, err))
 
 
-def _matmul(a: Unitary2, b: Unitary2) -> Unitary2:
-    # a @ b over broadcast (..., 2, 2) stacks, written out entry by entry:
-    # numpy's matmul makes one BLAS call per 2x2 matrix, which on a stack of
-    # a few thousand costs about ten times these whole-stack operations
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
-    return out
-
-
 def compose(matrices: list[Unitary2]) -> Unitary2:
     """Product of unitaries given in application order (index 0 acts first),
-    i.e. U_k ... U_1 as a matrix product; stacks multiply elementwise."""
+    i.e. U_k ... U_1 as a matrix product; stacks multiply elementwise.
+
+    Each step sums two broadcast outer products, column j of u times row j
+    of acc, which round like the entrywise formula. On one matrix that takes
+    half the time of assigning the four entries one by one; on a stack of
+    2020 it takes twice as long (185 against 90 us, 2-core Xeon VM).
+    """
     if len(matrices) == 0:
         raise ValueError("empty sequence")
     acc = matrices[0]
     for u in matrices[1:]:
-        acc = _matmul(u, acc)
+        acc = u[..., :, :1] * acc[..., :1, :] + u[..., :, 1:] * acc[..., 1:, :]
     return acc
 
 
@@ -252,9 +250,7 @@ def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
     target only up to an overall sign. Raises if any matrix of either operand
     is not unitary, NaN entries included.
     """
-    for operand in (U, V):
-        if not np.all(unitarity_defect(operand) <= UNITARITY_TOL):
-            raise ValueError("non-unitary operand")
+    _require_unitary(unitarity_defect(U), unitarity_defect(V))
     trace = (U.conj() * V).sum(axis=(-2, -1))
     # hypot rounds like Python's complex abs, which numpy's abs does not
     fidelity = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)

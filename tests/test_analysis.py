@@ -139,6 +139,25 @@ def test_fit_loglog_slope_drops_floor_points():
     values = [0.0, 1e-15, 4e-8, 1.6e-7, 6.4e-7, 2.56e-6]
     slope, _ = fit_loglog_slope(ts, values)
     assert slope == pytest.approx(2.0, abs=1e-6)
+    # only the kept points' t must be positive
+    assert fit_loglog_slope([0.0, -1.0] + ts[2:], values) == fit_loglog_slope(ts, values)
+
+
+@pytest.mark.parametrize("t_values, values, reason", [
+    ([0.0, 1e-3, 2e-3, 4e-3], [1e-6, 1e-6, 4e-6, 1.6e-5], "finite and positive"),
+    ([-1e-3, 1e-3, 2e-3, 4e-3], [1e-6, 1e-6, 4e-6, 1.6e-5], "finite and positive"),
+    ([math.nan, 1e-3, 2e-3, 4e-3], [1e-6, 1e-6, 4e-6, 1.6e-5], "finite and positive"),
+    ([math.inf, 1e-3, 2e-3, 4e-3], [1e-6, 1e-6, 4e-6, 1.6e-5], "finite and positive"),
+    ([1e-3, 2e-3, 4e-3, 8e-3], [1e-6, 4e-6, math.inf, 6.4e-5], "values must be finite"),
+    ([1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2], [1e-6, 4e-6, math.nan, 6.4e-5, 2.56e-4], "values must be finite"),
+    ([1e-2] * 4, [1e-6, 2e-6, 3e-6, 4e-6], "two distinct t"),
+])
+def test_fit_loglog_slope_rejects_bad_points(t_values, values, reason, capfd):
+    # each used to warn, print LAPACK's complaints, return NaN or drop the
+    # point silently; now one ValueError, and nothing on stdout
+    with pytest.raises(ValueError, match=reason):
+        fit_loglog_slope(t_values, values)
+    assert capfd.readouterr().out == ""
 
 
 def test_fit_loglog_slope_insufficient_points():
@@ -511,6 +530,10 @@ def test_axis_spec_rejects_non_finite_bounds(bad):
         AxisSpec(0.0, bad, 3)
     with pytest.raises(ValueError, match="finite"):
         AxisSpec(bad, 0.0, 3)
+    # finite bounds whose difference overflows: linspace would warn and
+    # return NaN and inf points
+    with pytest.raises(ValueError, match="overflows"):
+        AxisSpec(-1e308, 1e308, 3)
 
 
 @pytest.mark.parametrize("count", [1, 0, -3])

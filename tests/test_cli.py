@@ -1,19 +1,49 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pulsesmith
 from pulsesmith import cli
 from pulsesmith.cli import main, parse_angle, parse_axis_spec, parse_bloch_vector
-from pulsesmith.sequences import FAMILY_SPECS
+from pulsesmith.sequences import FAMILIES, FAMILY_SPECS, sequence_to_dict, synthesize
 
 PI = math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _main_quietly(argv):
+    # cli.main in this process: (exit code, stdout, stderr, warning messages)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_documented_exit(argv):
+    # exit 0, 2 or 3 without a warning; a usage error is one "error:" line
+    code, out, err, caught = _main_quietly(argv)
+    assert caught == [], (argv, caught)
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
 
 
 # ---------------------------------------------------------------- parsing
@@ -270,6 +300,87 @@ def test_malformed_sequence_file_exit_code(command, text, where, tmp_path, capsy
     assert captured.err.startswith("error:") and where in captured.err
 
 
+_ANGLES = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+_JUNK = st.one_of(
+    st.floats(),  # JSON NaN and Infinity included
+    st.integers(-(10**310), 10**310),
+    st.booleans(), st.none(), st.text(max_size=3), st.just([]), st.just({}),
+)
+_ERRORS = st.one_of(st.floats(-0.5, 0.5), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _sequence_files(draw):
+    # a synthesized sequence, random pulses under a family name, one of
+    # those with a member removed or replaced by junk, or any text at all
+    kind = draw(st.integers(0, 4))
+    if kind == 4:
+        return draw(st.text(max_size=12))
+    pulse = st.fixed_dictionaries({"theta": _ANGLES, "phi": _ANGLES})
+    data = {
+        "family": draw(st.sampled_from(FAMILIES)),
+        "target": draw(pulse),
+        "pulses": draw(st.lists(pulse, min_size=1, max_size=6)),
+    }
+    if kind == 0:
+        with contextlib.suppress(ValueError):
+            theta = draw(st.floats(0.0, 2 * PI, exclude_min=True, exclude_max=True))
+            data = sequence_to_dict(synthesize(data["family"], theta, draw(_ANGLES)))
+    if kind == 3:
+        members = [(data, key) for key in data]
+        members += [(p, key) for p in (data["target"], *data["pulses"]) for key in ("theta", "phi")]
+        where, key = draw(st.sampled_from(members))
+        if draw(st.booleans()):
+            del where[key]
+        else:
+            where[key] = draw(_JUNK)
+    return json.dumps(data)
+
+
+@PROPERTY_SETTINGS
+@given(text=_sequence_files(), eps=_ERRORS, f=_ERRORS, counts=st.tuples(st.integers(2, 5), st.integers(2, 5)))
+def test_fuzzed_sequence_files_exit_as_documented(text, eps, f, counts):
+    # every command that reads a sequence file, on whatever the file holds
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "seq.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        source = ["--sequence-file", path]
+        _assert_documented_exit(["verify", *source])
+        _assert_documented_exit([
+            "grid", *source, f"--eps={-abs(eps)!r}:{eps!r}:{counts[0]}", f"--f=0:{f!r}:{counts[1]}",
+        ])
+        _assert_documented_exit(["trajectory", *source, f"--eps={eps!r}", f"--f={f!r}", "--samples", "3"])
+
+
+# bounds as typed, overflowing pairs such as -1e308:1e308 included
+_BOUNDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]).map(repr),
+    st.sampled_from(["0", "pi", "2pi", "pi/2", "3pi/4", "0.5", "-0.25"]),
+)
+_AXES = st.builds("{}:{}:{}".format, _BOUNDS, _BOUNDS, st.integers(-1, 5))
+
+
+@PROPERTY_SETTINGS
+@given(eps=_AXES, f=_AXES, thetas=_AXES)
+@example(eps="-1e+308:1e+308:3", f="0:0:2", thetas="-1e+308:1e+308:3")
+def test_fuzzed_axis_specs_exit_as_documented(eps, f, thetas):
+    _assert_documented_exit(["grid", "--family", "scorbutus", "--theta", "pi", "--eps", eps, "--f", f])
+    _assert_documented_exit(["timecompare", "--thetas", thetas])
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--family", "scorbutus", "--theta", "pi", "--eps", "-1e308:1e308:3", "--f", "0:0:2"],
+    ["timecompare", "--thetas", "-1e308:1e308:3"],
+])
+def test_overflowing_axis_span_is_one_error_line(argv):
+    # linspace over such a span used to warn twice, then give NaN and inf
+    # points: an error naming NaN for grid, and exit 0 with NaN rows for
+    # timecompare
+    assert _main_quietly(argv) == (2, "", "error: axis span -1e+308:1e+308 overflows\n", [])
+
+
 # ---------------------------------------------------------------- grid
 
 
@@ -511,3 +622,29 @@ def test_cli_process_exit_codes(tmp_path):
         run = _run_cli(argv, tmp_path)
         assert run.returncode == code, (argv, run.stderr)
         assert text in getattr(run, stream).decode()
+
+
+def test_readme_command_lines_are_the_same_in_and_out_of_process(tmp_path, monkeypatch):
+    # README's command lines in order (verify reads the seq.json that synth
+    # writes), once as separate processes with a fixed hash seed and an
+    # ignored PULSESMITH_THREADS, once through cli.main in this process
+    lines = [shlex.split(line)[1:] for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("pulsesmith ")]
+    assert len(lines) == 7
+    runs = {}
+    for where in ("process", "main"):
+        cwd = tmp_path / where
+        cwd.mkdir()
+        if where == "process":
+            runs[where] = [
+                (run.returncode, run.stdout.decode(), run.stderr.decode())
+                for run in (_run_cli(argv, cwd, PYTHONHASHSEED="1", PULSESMITH_THREADS="lots")
+                            for argv in lines)
+            ]
+        else:
+            monkeypatch.chdir(cwd)
+            runs[where] = [_main_quietly(argv)[:3] for argv in lines]
+        runs[where].append({p.name: p.read_bytes() for p in sorted(cwd.iterdir())})
+    assert runs["process"] == runs["main"]
+    assert [code for code, _, _ in runs["main"][:-1]] == [0] * 7
+    assert sorted(runs["main"][-1]) == ["grid.csv", "path.csv", "report.json", "seq.json", "times.csv"]

@@ -18,7 +18,6 @@ from pulsesmith.su2 import (
     ErrorPair,
     Pulse,
     TWO_PI,
-    _matmul,
     _pair_defect,
     _pair_fidelity,
     _rotation_pair,
@@ -276,7 +275,7 @@ def test_matmul_kernel_matches_numpy_matmul(shape):
     b = random_su2(rng, shape)
     single = random_su2(rng, ())
     for left, right in ((a, b), (a, single), (single, a)):
-        product = _matmul(left, right)
+        product = compose([right, left])
         assert product.shape == (left @ right).shape
         assert np.max(np.abs(product - left @ right)) <= 1e-15
 
