@@ -25,7 +25,6 @@ from .analysis import (
 from .bloch import (
     BlochVector,
     NORTH_POLE,
-    SOUTH_POLE,
     Trajectory,
     TrajectoryPoint,
     apply_to_state,
@@ -52,15 +51,9 @@ from .su2 import (
     ErrorPair,
     NO_ERROR,
     Pulse,
-    SIGMA_0,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     Unitary2,
     compose,
-    frobenius_distance,
     gate_fidelity,
-    matrix_from_dict,
     matrix_to_dict,
     normalize_phase,
     rotation,

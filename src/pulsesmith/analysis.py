@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import PulseSequence, synthesize, total_time
+from .sequences import FAMILY_SPECS, PulseSequence, synthesize, total_time
 from .su2 import (
     NO_ERROR,
     ErrorPair,
@@ -125,6 +125,10 @@ class FidelityGrid:
 def _unit_ray(ray: tuple[float, float]) -> tuple[float, float]:
     d_eps, d_f = ray
     nrm = math.hypot(d_eps, d_f)
+    # a NaN or infinite component, or a norm that overflows, would give a
+    # NaN or a (0, 0) direction
+    if not math.isfinite(nrm):
+        raise ValueError(f"ray direction {ray!r} must have finite components and a finite norm")
     if nrm == 0.0:
         raise ValueError("ray direction must be nonzero")
     return (d_eps / nrm, d_f / nrm)
@@ -357,48 +361,53 @@ def grid_to_csv(grid: FidelityGrid) -> str:
 
 @dataclass(frozen=True)
 class TimeComparisonRow:
+    """Total time of each compared family at one target angle, None where
+    the angle is outside the family's domain (the note says why)."""
+
     theta: float
-    scorbutus_time: float | None
-    skinsc_time: float | None
+    times: dict[str, float | None]
     note: str = ""
 
 
+def _compared_families() -> list[str]:
+    # the FAMILY_SPECS rows that cancel both errors on every ray, in table
+    # order; read on every call, so that a row added to the table is compared
+    return [name for name, spec in FAMILY_SPECS.items() if min(spec.slopes.values()) >= 4.0]
+
+
 def time_compare(theta_values: list[float], phi: float = 0.0) -> list[TimeComparisonRow]:
-    """Total operation time of SCORBUTUS and SKinsC per target angle. The
+    """Total operation time of every bi-robust family per target angle. The
     phase never changes a total; domain failures are annotated per row."""
+    families = _compared_families()
     rows = []
     for theta in theta_values:
         theta = float(theta)
-        times, notes = [], []
-        for family in ("scorbutus", "skinsc"):
+        times, notes = {}, []
+        for family in families:
             try:
-                times.append(total_time(synthesize(family, theta, phi)))
+                times[family] = total_time(synthesize(family, theta, phi))
             except ValueError as exc:
-                times.append(None)
+                times[family] = None
                 notes.append(f"{family}: {exc}")
-        rows.append(TimeComparisonRow(theta, *times, "; ".join(notes)))
+        rows.append(TimeComparisonRow(theta, times, "; ".join(notes)))
     return rows
 
 
 def time_compare_to_csv(rows: list[TimeComparisonRow]) -> str:
-    lines = ["theta,L_scorbutus,L_skinsc,note"]
+    families = _compared_families()
+    lines = [",".join(["theta", *(f"L_{family}" for family in families), "note"])]
     for r in rows:
-        sc = "nan" if r.scorbutus_time is None else repr(r.scorbutus_time)
-        sk = "nan" if r.skinsc_time is None else repr(r.skinsc_time)
+        times = ("nan" if r.times[family] is None else repr(r.times[family]) for family in families)
         note = '"%s"' % r.note.replace('"', '""') if r.note else ""
-        lines.append(f"{r.theta!r},{sc},{sk},{note}")
+        lines.append(",".join([repr(r.theta), *times, note]))
     return "\n".join(lines) + "\n"
 
 
 def time_compare_to_dict(rows: list[TimeComparisonRow]) -> dict:
+    families = _compared_families()
     return {
         "rows": [
-            {
-                "theta": r.theta,
-                "L_scorbutus": r.scorbutus_time,
-                "L_skinsc": r.skinsc_time,
-                "note": r.note,
-            }
+            {"theta": r.theta, **{f"L_{family}": r.times[family] for family in families}, "note": r.note}
             for r in rows
         ]
     }

@@ -52,12 +52,8 @@ class BlochVector:
     def norm(self) -> float | np.ndarray:
         return _sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def distance(self, other: "BlochVector") -> float | np.ndarray:
-        return _sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2)
-
 
 NORTH_POLE = BlochVector(0.0, 0.0, 1.0)
-SOUTH_POLE = BlochVector(0.0, 0.0, -1.0)
 
 
 def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:

@@ -6,7 +6,7 @@ Subcommands:
 * ``verify``      - certify robustness orders by slope fits, plus the
   off-resonance residual for palindromic families; PASS/FAIL summary.
 * ``grid``        - gate fidelity over an (epsilon, f) grid, CSV or JSON.
-* ``timecompare`` - total operation time of SCORBUTUS vs SKinsC per angle.
+* ``timecompare`` - total operation time of each bi-robust family per angle.
 * ``trajectory``  - Bloch-sphere path of a state under the erroneous sequence.
 
 ``pulsesmith --version`` prints the package version.

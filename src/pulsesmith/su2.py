@@ -1,8 +1,7 @@
 """Exact SU(2) arithmetic for one-qubit pulse simulation.
 
 Rotations about axes in the xy plane, their error-deformed counterparts,
-products over pulse sequences, and the fidelity/distance metrics used to
-compare them.
+products over pulse sequences, and the fidelity used to compare them.
 
 Every gate the package builds is special unitary, U = [[a, -b*], [b, a*]],
 so inside the package a gate travels as its Cayley-Klein pair (a, b) of
@@ -30,11 +29,6 @@ rotation, product and fidelity functions below produce and consume."""
 
 TWO_PI = 2.0 * math.pi
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_0 = np.eye(2, dtype=complex)
-
 UNITARITY_TOL = 1e-10
 
 
@@ -50,12 +44,19 @@ def normalize_phase(phi: float) -> float:
 @dataclass(frozen=True)
 class Pulse:
     """One elementary rotation: angle ``theta`` about the in-plane axis
-    (cos phi, sin phi, 0). The phase is stored normalized to [0, 2*pi)."""
+    (cos phi, sin phi, 0). The phase is stored normalized to [0, 2*pi).
+    Both must be finite; ``theta`` may be an array, for a stack."""
 
     theta: float
     phi: float
 
     def __post_init__(self):
+        # math.isfinite for a scalar: a numpy test costs 6 us against 0.1 us,
+        # and synthesis builds a pulse at a time
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
+                raise ValueError(f"pulse {name} must be finite, got {value!r}")
         object.__setattr__(self, "phi", normalize_phase(self.phi))
 
 
@@ -257,22 +258,9 @@ def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
-def frobenius_distance(U: Unitary2, V: Unitary2) -> float:
-    """Entrywise distance sqrt(sum |u_ij - v_ij|^2)."""
-    return float(np.linalg.norm(U - V))
-
-
 def matrix_to_dict(U: Unitary2) -> dict:
     """Row-major split into real and imaginary parts for JSON output."""
     return {
         "re": [[float(U[i, j].real) for j in range(2)] for i in range(2)],
         "im": [[float(U[i, j].imag) for j in range(2)] for i in range(2)],
     }
-
-
-def matrix_from_dict(data: dict) -> Unitary2:
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    if re.shape != (2, 2) or im.shape != (2, 2):
-        raise ValueError("matrix payload must be 2x2")
-    return re + 1j * im

@@ -84,6 +84,12 @@ def quat_to_matrix(q):
     return a * ID - 1j * (bx * SX + by * SY + bz * SZ)
 
 
+def bloch_distance(r, s):
+    """Euclidean distance of two Bloch vectors, each given by its x, y and z
+    attributes."""
+    return math.dist((r.x, r.y, r.z), (s.x, s.y, s.z))
+
+
 def fd_first_order(pulses, which, step=1e-5):
     """Derivative of the composed (theta, phi) pulses at zero error along
     ``which`` ("eps" or "f"), as a 2x2 matrix: central differences of

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pulsesmith import analysis, su2
+from pulsesmith import analysis, sequences, su2
 from pulsesmith.analysis import (
     GRID_BLOCK_POINTS,
     AxisSpec,
@@ -22,6 +22,7 @@ from pulsesmith.analysis import (
     symmetric_ore_residual,
     time_compare,
     time_compare_to_csv,
+    time_compare_to_dict,
 )
 from pulsesmith.sequences import (
     FAMILIES,
@@ -35,7 +36,7 @@ from pulsesmith.sequences import (
     synthesize,
     theta_r_from_condition,
 )
-from pulsesmith.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ErrorPair, Pulse, gate_fidelity, rotation
+from pulsesmith.su2 import ErrorPair, Pulse, gate_fidelity, rotation
 
 PI = math.pi
 T_VALUES = [float(t) for t in np.logspace(-3.0, -1.5, 13)]
@@ -81,12 +82,24 @@ def test_infidelity_ray_fourth_order_for_scorbutus():
 
 def test_overflowing_angle_raises_value_error_without_warnings():
     # theta (1 + eps) overflows to inf and sin, cos give NaN; the suite
-    # turns RuntimeWarnings into errors, so a warning would fail this test
+    # turns warnings into errors, so a warning would fail this test
     seq = PulseSequence((Pulse(1.5e308, 0.0),), Pulse(1.5e308, 0.0), "custom")
     with pytest.raises(ValueError, match="non-unitary"):
         fidelity_grid(seq, AxisSpec(1.0, 1.0, 2), AxisSpec(0.0, 0.0, 2))
     with pytest.raises(ValueError, match="non-unitary"):
         infidelity_ray(seq, (1.0, 0.0), [0.5])
+
+
+@pytest.mark.parametrize(
+    "ray", [(1.7e308, 1.7e308), (math.nan, 1.0), (0.0, math.inf), (-math.inf, math.nan)]
+)
+def test_a_ray_without_a_finite_direction_is_rejected(ray):
+    # the overflowing norm of the first ray once turned it into (0, 0), and
+    # so into zero infidelity at every scale
+    seq = scorbutus(PI, 0.0)
+    for call in (infidelity_ray, slope_report):
+        with pytest.raises(ValueError, match="must have finite components and a finite norm"):
+            call(seq, ray, T_VALUES)
 
 
 def test_infidelity_ray_input_validation():
@@ -200,7 +213,7 @@ def test_first_order_coefficient_elementary_eps():
     # analytic derivative: -i theta (n . sigma / 2) (theta)_phi
     for theta, phi in ((PI, 0.0), (1.3, 0.8)):
         seq = elementary(theta, phi)
-        generator = 0.5 * (math.cos(phi) * SIGMA_X + math.sin(phi) * SIGMA_Y)
+        generator = 0.5 * (math.cos(phi) * oracles.SX + math.sin(phi) * oracles.SY)
         expected = -1j * theta * generator @ rotation(Pulse(theta, phi))
         measured = first_order_coefficient(seq, "eps")
         assert np.max(np.abs(measured - expected)) < COEFF_TOL
@@ -212,7 +225,7 @@ def test_first_order_coefficient_elementary_f():
     # the exact derivative at zero is -i sin(theta/2) sigma_z, standalone
     for theta in (PI, 1.3, 2.4):
         seq = elementary(theta, 0.4)
-        expected = -1j * math.sin(theta / 2) * SIGMA_Z
+        expected = -1j * math.sin(theta / 2) * oracles.SZ
         measured = first_order_coefficient(seq, "f")
         assert np.max(np.abs(measured - expected)) < COEFF_TOL
     norm = np.linalg.norm(first_order_coefficient(elementary(PI, 0.0), "f"))
@@ -296,7 +309,7 @@ def test_alpha_assembly_against_derivative_oracle():
     for seq in (scrofulous(PI / 2, 0.0), scrofulous(2.0, 0.0), scorbutus(PI, 0.0)):
         residual = symmetric_ore_residual(seq).residual
         derivative = first_order_coefficient(seq, "f")
-        assert np.max(np.abs(derivative - (-1j * residual * SIGMA_Z))) < COEFF_TOL
+        assert np.max(np.abs(derivative - (-1j * residual * oracles.SZ))) < COEFF_TOL
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -307,7 +320,7 @@ def test_exact_off_resonance_term_of_a_palindrome_is_the_residual(half):
     seq = PulseSequence(tuple(pulses + pulses[-2::-1]), pulses[-1], "custom")
     residual = symmetric_ore_residual(seq).residual
     derivative = first_order_coefficient(seq, "f")
-    assert np.max(np.abs(derivative - (-1j * residual * SIGMA_Z))) <= EXACT_TOL
+    assert np.max(np.abs(derivative - (-1j * residual * oracles.SZ))) <= EXACT_TOL
 
 
 def test_residual_zero_for_scorbutus():
@@ -564,10 +577,10 @@ def test_grid_csv_shape_and_round_trip():
 
 def test_time_compare_frozen_rows():
     rows = time_compare([PI, PI / 2])
-    assert rows[0].scorbutus_time == pytest.approx(5 * PI, abs=1e-12)
-    assert rows[0].skinsc_time == pytest.approx(19 * PI / 3, abs=1e-12)
-    assert rows[1].scorbutus_time == pytest.approx(SCORBUTUS_HALF_TIME, abs=1e-10)
-    assert rows[1].skinsc_time == pytest.approx(SKINSC_HALF_TIME, abs=1e-10)
+    assert rows[0].times["scorbutus"] == pytest.approx(5 * PI, abs=1e-12)
+    assert rows[0].times["skinsc"] == pytest.approx(19 * PI / 3, abs=1e-12)
+    assert rows[1].times["scorbutus"] == pytest.approx(SCORBUTUS_HALF_TIME, abs=1e-10)
+    assert rows[1].times["skinsc"] == pytest.approx(SKINSC_HALF_TIME, abs=1e-10)
     assert all(r.note == "" for r in rows)
 
 
@@ -575,18 +588,33 @@ def test_time_compare_independent_of_phase():
     thetas = [0.5, 1.5, 3.0]
     a = time_compare(thetas, phi=0.0)
     b = time_compare(thetas, phi=1.3)
-    assert [(r.scorbutus_time, r.skinsc_time) for r in a] == [
-        (r.scorbutus_time, r.skinsc_time) for r in b
+    assert [(r.times["scorbutus"], r.times["skinsc"]) for r in a] == [
+        (r.times["scorbutus"], r.times["skinsc"]) for r in b
     ]
 
 
 def test_time_compare_annotates_domain_failures():
     rows = time_compare([3.9])
-    assert rows[0].scorbutus_time is None
-    assert rows[0].skinsc_time is not None
+    assert rows[0].times["scorbutus"] is None
+    assert rows[0].times["skinsc"] is not None
     assert "arcsinc" in rows[0].note
     rows = time_compare([6.9])
-    assert rows[0].scorbutus_time is None and rows[0].skinsc_time is None
+    assert rows[0].times["scorbutus"] is None and rows[0].times["skinsc"] is None
+
+
+def test_time_compare_reads_its_families_from_the_table(monkeypatch):
+    # every row whose slopes are all 4 is compared, in table order, and a
+    # row added to the table shows up in the rows, the CSV and the JSON
+    assert list(time_compare([PI])[0].times) == ["scorbutus", "skinsc"]
+    monkeypatch.setitem(sequences.FAMILY_SPECS, "twin", sequences.FAMILY_SPECS["scorbutus"])
+    monkeypatch.setitem(sequences.FAMILY_SPECS, "half", sequences.FAMILY_SPECS["scrofulous"])
+    rows = time_compare([PI, 3.9])
+    assert [list(r.times) for r in rows] == [["scorbutus", "skinsc", "twin"]] * 2
+    assert rows[0].times["twin"] == rows[0].times["scorbutus"]
+    assert rows[1].times["twin"] is None and "twin: " in rows[1].note
+    assert time_compare_to_csv(rows).split("\n")[0] == "theta,L_scorbutus,L_skinsc,L_twin,note"
+    for row in time_compare_to_dict(rows)["rows"]:
+        assert list(row) == ["theta", "L_scorbutus", "L_skinsc", "L_twin", "note"]
 
 
 def test_time_compare_csv():

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from pulsesmith.bloch import (
     NORTH_POLE,
-    SOUTH_POLE,
     BlochVector,
     _turn,
     apply_to_state,
@@ -24,7 +23,6 @@ from pulsesmith.sequences import (
     synthesize,
 )
 from pulsesmith.su2 import (
-    SIGMA_0,
     ErrorPair,
     Pulse,
     _pair_product,
@@ -35,11 +33,12 @@ from pulsesmith.su2 import (
 
 PI = math.pi
 NORM_TOL = 1e-10
+SOUTH_POLE = BlochVector(0.0, 0.0, -1.0)
 
 
 def test_apply_identity_keeps_state():
     r = BlochVector(0.6, 0.0, 0.8)
-    out = apply_to_state(SIGMA_0, r)
+    out = apply_to_state(oracles.ID, r)
     assert (out.x, out.y, out.z) == pytest.approx((0.6, 0.0, 0.8), abs=1e-14)
 
 
@@ -55,7 +54,7 @@ def test_quarter_pulse_sends_north_to_minus_y():
 
 def test_apply_rejects_off_sphere_state():
     with pytest.raises(ValueError, match="norm"):
-        apply_to_state(SIGMA_0, BlochVector(0.0, 0.0, 0.5))
+        apply_to_state(oracles.ID, BlochVector(0.0, 0.0, 0.5))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -83,17 +82,15 @@ def test_apply_to_stack_matches_single_calls_and_quaternion_oracle(family):
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
 
-def test_norm_and_distance_on_a_stack_match_single_matrices():
+def test_norm_on_a_stack_matches_single_matrices():
     seq = scorbutus(2.0, 0.5)
     stack = compose_with_errors(seq, ErrorPair(np.array([-0.1, 0.0, 0.2]), 0.05))
-    out = apply_to_state(stack, NORTH_POLE)
-    norms, gaps = out.norm(), out.distance(SOUTH_POLE)
-    assert norms.shape == gaps.shape == (3,)
+    norms = apply_to_state(stack, NORTH_POLE).norm()
+    assert norms.shape == (3,)
     for k in range(3):
         single = apply_to_state(stack[k], NORTH_POLE)
-        assert type(single.norm()) is float and type(single.distance(SOUTH_POLE)) is float
+        assert type(single.norm()) is float
         assert norms[k] == single.norm()
-        assert gaps[k] == single.distance(SOUTH_POLE)
 
 
 def test_apply_rejects_non_unitary_matrices():
@@ -102,8 +99,8 @@ def test_apply_rejects_non_unitary_matrices():
     projector = np.array([[1.0, 0.0], [0.0, 0.0]])  # determinant zero
     nan = np.full((2, 2), np.nan + 0j)
     inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
-    for bad in (shear, projector, nan, inf, 1.5 * SIGMA_0):
-        for U in (bad, np.stack([rotation(Pulse(PI / 3, 0.2)), bad, SIGMA_0])):
+    for bad in (shear, projector, nan, inf, 1.5 * oracles.ID):
+        for U in (bad, np.stack([rotation(Pulse(PI / 3, 0.2)), bad, oracles.ID])):
             with pytest.raises(ValueError, match="non-unitary operand"):
                 apply_to_state(U, BlochVector(1.0, 0.0, 0.0))
             with pytest.raises(ValueError, match="non-unitary operand"):
@@ -141,7 +138,7 @@ def test_apply_ignores_the_global_phase():
 def test_trajectory_near_identity_pulse():
     seq = elementary(1e-12, 0.0)
     traj = trajectory(seq, ErrorPair(0.0, 0.0), NORTH_POLE, 4)
-    assert traj.points[-1].state.distance(NORTH_POLE) < 1e-10
+    assert oracles.bloch_distance(traj.points[-1].state, NORTH_POLE) < 1e-10
 
 
 def test_trajectory_point_count_and_first_point():
@@ -170,7 +167,7 @@ def test_trajectory_columns_and_points_view():
 
 def test_trajectory_elementary_endpoint():
     traj = trajectory(elementary(PI, 0.0), ErrorPair(0.0, 0.0), NORTH_POLE, 8)
-    assert traj.points[-1].state.distance(SOUTH_POLE) < 1e-10
+    assert oracles.bloch_distance(traj.points[-1].state, SOUTH_POLE) < 1e-10
 
 
 def test_trajectory_norm_conservation():
@@ -187,7 +184,7 @@ def test_trajectory_endpoint_matches_composition(family):
         err = ErrorPair(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
         traj = trajectory(seq, err, NORTH_POLE, 3)
         direct = apply_to_state(compose_with_errors(seq, err), NORTH_POLE)
-        assert traj.points[-1].state.distance(direct) < 1e-10
+        assert oracles.bloch_distance(traj.points[-1].state, direct) < 1e-10
 
 
 def test_trajectory_points_stay_on_pulse_circles():
@@ -224,14 +221,15 @@ def test_trajectory_sampling_refinement_keeps_shared_points():
     }
     for p in coarse.points:
         match = shared[(p.pulse_index, p.fraction)]
-        assert p.state.distance(match) < 1e-12
+        assert oracles.bloch_distance(p.state, match) < 1e-12
 
 
 def test_scorbutus_trajectory_beats_elementary():
     err = ErrorPair(0.1, 0.1)
     end_sc = trajectory(scorbutus(PI, 0.0), err, NORTH_POLE, 64).points[-1].state
     end_el = trajectory(elementary(PI, 0.0), err, NORTH_POLE, 64).points[-1].state
-    assert end_sc.distance(SOUTH_POLE) < end_el.distance(SOUTH_POLE)
+    d_sc, d_el = (oracles.bloch_distance(end, SOUTH_POLE) for end in (end_sc, end_el))
+    assert d_sc < d_el
 
 
 def test_switchback_reverses_vertical_motion_at_inner_boundaries():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pulsesmith
 from pulsesmith import cli
 from pulsesmith.cli import main, parse_angle, parse_axis_spec, parse_bloch_vector
-from pulsesmith.sequences import FAMILIES, FAMILY_SPECS, sequence_to_dict, synthesize
+from pulsesmith.sequences import FAMILIES, FAMILY_SPECS, sequence_to_dict, synthesize, total_time
 
 PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -525,6 +525,16 @@ def test_timecompare_frozen_rows(capsys):
     assert float(half[2]) == pytest.approx(18.974883752706823, abs=1e-10)
     assert float(full[1]) == pytest.approx(5 * PI, abs=1e-12)
     assert float(full[2]) == pytest.approx(19 * PI / 3, abs=1e-12)
+
+
+def test_timecompare_default_csv_is_rebuilt_from_total_times(capsys):
+    # the default angles are 256 points over (0, pi], each inside both domains
+    lines = ["theta,L_scorbutus,L_skinsc,note"]
+    for theta in np.linspace(0.0, PI, 257)[1:].tolist():
+        times = [total_time(synthesize(family, theta, 0.0)) for family in ("scorbutus", "skinsc")]
+        lines.append(",".join(map(repr, [theta, *times])) + ",")
+    assert main(["timecompare"]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_timecompare_default_grid_is_ordered(capsys):
