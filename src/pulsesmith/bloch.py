@@ -25,6 +25,7 @@ from .su2 import (
     ErrorPair,
     Pulse,
     Unitary2,
+    _matrix_operand,
     _pair_defect,
     _pair_product,
     _pulse_pairs,
@@ -67,7 +68,7 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     """
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
-    U = np.asarray(U, dtype=complex)
+    U = _matrix_operand(np.asarray(U, dtype=complex))
     _require_unitary(unitarity_defect(U))
     root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
     x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)

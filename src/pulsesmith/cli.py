@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("timecompare", help="operation times of SCORBUTUS vs SKinsC")
+    p = sub.add_parser("timecompare", help="total operation time of each bi-robust family per angle")
     p.add_argument("--thetas", default=None, help="target angles min:max:count; default 256 points over (0, pi]")
     p.add_argument("--phi", type=_angle_arg, default=0.0)
     p.add_argument("--out", default=None, help="write the output to this file instead of stdout")

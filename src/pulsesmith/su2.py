@@ -11,9 +11,10 @@ entries. Matrices, plain (..., 2, 2) complex numpy arrays, appear only at
 the public boundary: :func:`rotation` and :func:`rotation_with_error` build
 theirs once from the pair, and :func:`compose`, :func:`gate_fidelity`,
 :func:`unitarity_defect` (and ``bloch.apply_to_state``) accept any 2x2
-unitary, global phase included. Everything broadcasts: given a pulse angle
-or error fields that are arrays, it works on a stack, one gate per element,
-so that a sweep over errors is one call instead of a loop.
+unitary, global phase included, and reject an operand of any other shape.
+Everything broadcasts: given a pulse angle or error fields that are arrays,
+it works on a stack, one gate per element, so that a sweep over errors is
+one call instead of a loop.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ def normalize_phase(phi: float) -> float:
     return p
 
 
+def _is_finite(value) -> bool:
+    # math.isfinite for a scalar, which costs 0.1 us against 6 us for a numpy
+    # test; every element for an array. An int beyond the double range is not
+    # finite, where math.isfinite would raise OverflowError.
+    if isinstance(value, np.ndarray):
+        return bool(np.all(np.isfinite(value)))
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Pulse:
     """One elementary rotation: angle ``theta`` about the in-plane axis
@@ -51,11 +64,15 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        # math.isfinite for a scalar: a numpy test costs 6 us against 0.1 us,
-        # and synthesis builds a pulse at a time
+        # _is_finite written out: a call per field would make every pulse
+        # about 7% slower, and synthesis builds a pulse at a time
         for name in ("theta", "phi"):
             value = getattr(self, name)
-            if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
+            try:
+                finite = np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ValueError(f"pulse {name} must be finite, got {value!r}")
         object.__setattr__(self, "phi", normalize_phase(self.phi))
 
@@ -76,7 +93,7 @@ class ErrorPair:
     def __post_init__(self):
         for name in ("epsilon", "f"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -187,6 +204,16 @@ def _target_fidelity(seq, err: ErrorPair):
     return _pair_fidelity(_sequence_pair(seq, err), _rotation_pair(seq.target, NO_ERROR))
 
 
+def _matrix_operand(U) -> np.ndarray:
+    # the public matrix functions' operand check: a 2x2 matrix or a
+    # (..., 2, 2) stack, nested lists included, as an array (an ndarray is
+    # returned as itself); any other shape is a ValueError naming it
+    U = np.asarray(U)
+    if U.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a (..., 2, 2) stack, got shape {U.shape}")
+    return U
+
+
 def rotation(pulse: Pulse) -> Unitary2:
     """Ideal rotation cos(theta/2) I - i sin(theta/2) (cos phi sx + sin phi sy)."""
     return _pair_matrix(_rotation_pair(pulse, NO_ERROR))
@@ -215,8 +242,8 @@ def compose(matrices: list[Unitary2]) -> Unitary2:
     """
     if len(matrices) == 0:
         raise ValueError("empty sequence")
-    acc = matrices[0]
-    for u in matrices[1:]:
+    acc, *rest = map(_matrix_operand, matrices)
+    for u in rest:
         acc = u[..., :, :1] * acc[..., :1, :] + u[..., :, 1:] * acc[..., 1:, :]
     return acc
 
@@ -229,6 +256,7 @@ def unitarity_defect(U: Unitary2) -> float | np.ndarray:
     those. A NaN or infinite entry gives a NaN or infinite defect, without a
     warning.
     """
+    U = _matrix_operand(U)
     squares = U.real * U.real + U.imag * U.imag
     norms = squares[..., 0, :] + squares[..., 1, :]
     # an infinite entry makes the overlap inf * 0 or inf - inf, a NaN that
@@ -251,6 +279,7 @@ def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
     target only up to an overall sign. Raises if any matrix of either operand
     is not unitary, NaN entries included.
     """
+    U, V = _matrix_operand(U), _matrix_operand(V)
     _require_unitary(unitarity_defect(U), unitarity_defect(V))
     trace = (U.conj() * V).sum(axis=(-2, -1))
     # hypot rounds like Python's complex abs, which numpy's abs does not

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the package under test: rotations go through a
 generic matrix exponential, products through scalar quaternion algebra,
-first-order error terms through finite differences of those products, and
-the sinc inverse through Brent's method.
+first-order error terms through finite differences of those products, the
+sinc inverse through Brent's method, and the log-log line fit through
+numpy's polyfit.
 """
 
 import math
@@ -102,6 +103,18 @@ def fd_first_order(pulses, which, step=1e-5):
     coarse = (at(step) - at(-step)) / (2.0 * step)
     fine = (at(0.5 * step) - at(-0.5 * step)) / step
     return (4.0 * fine - coarse) / 3.0
+
+
+def polyfit_loglog_slope(t_values, values, floor):
+    """(slope, max abs log-deviation from the line) of the least-squares line
+    through (log t, log value) over the points whose value exceeds floor, by
+    np.polyfit: a Vandermonde matrix solved by SVD. No input checks."""
+    v = np.asarray(values, dtype=float)
+    kept = v > floor
+    log_t = np.log(np.asarray(t_values, dtype=float)[kept])
+    log_v = np.log(v[kept])
+    slope, intercept = np.polyfit(log_t, log_v, 1)
+    return float(slope), float(np.max(np.abs(log_v - (slope * log_t + intercept))))
 
 
 FIRST_SINC_MINIMUM = brentq(

@@ -515,6 +515,14 @@ def test_non_finite_angles_exit_code(command, flag, bad, capsys):
 # ---------------------------------------------------------------- timecompare
 
 
+def test_timecompare_help_names_no_family():
+    # the columns follow the bi-robust rows of FAMILY_SPECS, so the help
+    # line says that instead of naming two families
+    text = " ".join(cli.build_parser().format_help().split())
+    assert "timecompare total operation time of each bi-robust family per angle" in text
+    assert "SCORBUTUS" not in text
+
+
 def test_timecompare_frozen_rows(capsys):
     assert main(["timecompare", "--thetas", "pi/2:pi:2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

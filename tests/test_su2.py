@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from pulsesmith.bloch import NORTH_POLE, apply_to_state
 from pulsesmith.sequences import PulseSequence
 from pulsesmith.su2 import (
     NO_ERROR,
@@ -324,6 +326,52 @@ def test_pulse_rejects_non_finite_fields(theta, phi, field):
     # rotation once turned such a pulse into a NaN matrix, or warned
     with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
         Pulse(theta, phi)
+
+
+@pytest.mark.parametrize("build, args, reason", [
+    (Pulse, (10**400, 0.0), "pulse theta must be finite"),
+    (Pulse, (1.0, -10**400), "pulse phi must be finite"),
+    (ErrorPair, (10**400, 0.0), "epsilon must be finite"),
+    (ErrorPair, (0.0, -10**400), "f must be finite"),
+])
+def test_ints_beyond_the_double_range_are_not_finite(build, args, reason):
+    # math.isfinite raised OverflowError for these, numpy's test TypeError
+    with pytest.raises(ValueError, match=reason):
+        build(*args)
+
+
+NOT_2X2 = {
+    "3x3": np.eye(3),
+    "2x3": np.ones((2, 3)),
+    "stack of 3x3": np.zeros((4, 3, 3)),
+    "vector": np.ones(2),
+    "scalar": np.array(1.0),
+}
+MATRIX_CALLS = {
+    "unitarity_defect": unitarity_defect,
+    "gate_fidelity": lambda U: gate_fidelity(U, U),
+    "gate_fidelity right": lambda U: gate_fidelity(oracles.ID, U),
+    "compose": lambda U: compose([U]),
+    "compose second": lambda U: compose([oracles.ID, U]),
+    "apply_to_state": lambda U: apply_to_state(U, NORTH_POLE),
+}
+
+
+@pytest.mark.parametrize("call", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
+@pytest.mark.parametrize("operand", NOT_2X2.values(), ids=NOT_2X2)
+def test_matrix_functions_reject_operands_that_are_not_2x2(call, operand):
+    # a 3x3 identity once passed as unitary with fidelity 1; a vector raised
+    # IndexError
+    with pytest.raises(ValueError, match=rf"2x2.*got shape {re.escape(str(operand.shape))}"):
+        call(operand)
+
+
+def test_matrix_functions_take_nested_lists():
+    # gate_fidelity once raised AttributeError on lists, compose TypeError
+    X = [[0, 1], [1, 0]]
+    assert unitarity_defect(X) == 0.0
+    assert gate_fidelity(X, oracles.SX) == 1.0
+    assert np.array_equal(compose([X, X]), oracles.ID)
 
 
 def test_matrix_json_round_trip():
