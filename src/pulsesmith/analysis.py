@@ -21,14 +21,15 @@ import numpy as np
 from .sequences import FAMILY_SPECS, PulseSequence, synthesize, total_time
 from .su2 import (
     NO_ERROR,
-    ErrorPair,
     Pulse,
     Unitary2,
+    _count,
     _is_finite,
+    _pair_fidelity,
     _pair_matrix,
     _pair_product,
     _rotation_pair,
-    _target_fidelity,
+    _sequence_pair,
 )
 
 INFIDELITY_FLOOR = 1e-14
@@ -93,6 +94,7 @@ class AxisSpec:
             raise ValueError(f"axis bounds must be finite, got {self.start!r}:{self.stop!r}")
         if not _is_finite(self.stop - self.start):
             raise ValueError(f"axis span {self.start!r}:{self.stop!r} overflows")
+        object.__setattr__(self, "count", _count(self.count, "axis count"))
         if self.count < 2:
             raise ValueError(f"axis needs at least two points, got count {self.count!r}")
 
@@ -125,9 +127,9 @@ class FidelityGrid:
 
 def _unit_ray(ray: tuple[float, float]) -> tuple[float, float]:
     d_eps, d_f = ray
-    nrm = math.hypot(d_eps, d_f)
-    # a NaN or infinite component, or a norm that overflows, would give a
-    # NaN or a (0, 0) direction
+    # a NaN, infinite or out-of-range component, or a norm that overflows,
+    # would give a NaN or a (0, 0) direction
+    nrm = math.hypot(d_eps, d_f) if _is_finite(d_eps) and _is_finite(d_f) else math.inf
     if not math.isfinite(nrm):
         raise ValueError(f"ray direction {ray!r} must have finite components and a finite norm")
     if nrm == 0.0:
@@ -140,12 +142,18 @@ def infidelity_ray(
 ) -> list[float]:
     """1 - F between the erroneous sequence and its target at errors
     t * (d_eps, d_f) for each scale t, with the ray normalized to unit length."""
-    d_eps, d_f = _unit_ray(ray)
+    return _unit_ray_infidelities(seq, _unit_ray(ray), t_values)
+
+
+def _unit_ray_infidelities(seq: PulseSequence, unit: tuple[float, float], t_values) -> list[float]:
+    # infidelity_ray on a normalised ray; fields built from checked t need no ErrorPair
     for t in t_values:
         if not 0.0 <= t <= 0.5:
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
     t = np.asarray(t_values, dtype=float)
-    return (1.0 - _target_fidelity(seq, ErrorPair(t * d_eps, t * d_f))).tolist()
+    d_eps, d_f = unit
+    pair = _sequence_pair(seq, t * d_eps, t * d_f)
+    return (1.0 - _pair_fidelity(pair, _rotation_pair(seq.target, NO_ERROR))).tolist()
 
 
 def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float, float]:
@@ -159,7 +167,11 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
     """
     if len(t_values) != len(values):
         raise ValueError("t_values and values must have equal length")
-    if not all(map(math.isfinite, values)):
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False  # an int beyond the double range
+    if not finite:
         raise ValueError("values must be finite")
     kept = [(t, v) for t, v in zip(t_values, values) if v > INFIDELITY_FLOOR]
     if len(kept) < 4:
@@ -172,7 +184,8 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
     log_v = [math.log(v) for _, v in kept]
     t_mean, v_mean = math.fsum(log_t) / len(kept), math.fsum(log_v) / len(kept)
     dt = [x - t_mean for x in log_t]
-    slope = math.fsum(d * (y - v_mean) for d, y in zip(dt, log_v)) / math.fsum(d * d for d in dt)
+    # fsum rounds exactly, so lists give the bits of generators, sooner
+    slope = math.fsum([d * (y - v_mean) for d, y in zip(dt, log_v)]) / math.fsum([d * d for d in dt])
     intercept = v_mean - slope * t_mean
     return slope, max(abs(y - (slope * x + intercept)) for x, y in zip(log_t, log_v))
 
@@ -182,8 +195,7 @@ def slope_report(
 ) -> SlopeReport:
     """Run :func:`infidelity_ray` and fit its log-log slope."""
     unit = _unit_ray(ray)
-    # given unit, infidelity_ray would normalise twice and miss it by an ulp
-    infidelities = infidelity_ray(seq, ray, t_values)
+    infidelities = _unit_ray_infidelities(seq, unit, t_values)
     slope, residual = fit_loglog_slope(t_values, infidelities)
     return SlopeReport(unit, tuple(t_values), tuple(infidelities), slope, residual)
 
@@ -246,7 +258,11 @@ def alpha_coefficient(seq: PulseSequence, i: int) -> float:
     k = len(half)
     if not 1 <= i <= k - 1:
         raise ValueError(f"pair index {i} outside 1..{k - 1}")
-    rotations = [_rotation_pair(p, NO_ERROR) for p in half]
+    return _alpha([_rotation_pair(p, NO_ERROR) for p in half], i)
+
+
+def _alpha(rotations: list, i: int) -> float:
+    # alpha_coefficient from the ideal pairs of the half-sequence's pulses
     # (a*, -b) is the inverse U^dagger of a special unitary
     inverses = [(a.conj(), -b) for a, b in rotations[: i - 1]]
     factors = inverses + rotations[i:] + rotations[-2::-1]
@@ -263,9 +279,9 @@ def symmetric_ore_residual(seq: PulseSequence) -> OreResidualReport:
     composed sequence vanishes; the full derivative matrix equals
     -i * residual * sigma_z."""
     half = _palindrome_half(seq)
-    k = len(half)
+    rotations = [_rotation_pair(p, NO_ERROR) for p in half]
     s_values = [math.sin(0.5 * p.theta) for p in half]
-    alpha_values = [alpha_coefficient(seq, i) for i in range(1, k)]
+    alpha_values = [_alpha(rotations, i) for i in range(1, len(half))]
     residual = math.fsum(s * a for s, a in zip(s_values, alpha_values)) + s_values[-1]
     return OreResidualReport(tuple(s_values), tuple(alpha_values), residual)
 
@@ -281,8 +297,10 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     eps_points = eps_axis.points()
     f_points = f_axis.points()[:, np.newaxis]
     rows_per_block = max(1, GRID_BLOCK_POINTS // eps_axis.count)
+    # the axes are checked finite, so their points go to the kernel as they are
+    target = _rotation_pair(seq.target, NO_ERROR)
     blocks = [
-        _target_fidelity(seq, ErrorPair(eps_points, f_block))
+        _pair_fidelity(_sequence_pair(seq, eps_points, f_block), target)
         for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
     ]
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.concatenate(blocks))

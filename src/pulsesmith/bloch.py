@@ -25,8 +25,8 @@ from .su2 import (
     ErrorPair,
     Pulse,
     Unitary2,
+    _count,
     _matrix_operand,
-    _pair_defect,
     _pair_product,
     _pulse_pairs,
     _require_unitary,
@@ -153,18 +153,21 @@ def trajectory(
     fields must be scalars, not arrays. Raises ValueError if a partial
     rotation comes out non-unitary, as when theta (1 + epsilon) overflows.
     """
+    samples_per_pulse = _count(samples_per_pulse, "samples_per_pulse")
     if samples_per_pulse < 1:
         raise ValueError("samples_per_pulse must be at least 1")
     for name in ("epsilon", "f"):
-        shape = np.shape(getattr(err, name))
+        # a number has no shape; np.shape would build an array to find ()
+        shape = getattr(getattr(err, name), "shape", ())
         if shape:
             raise ValueError(f"trajectory needs a scalar err.{name}, got an array of shape {shape}")
     if not abs(initial.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
-    (a, b), rows = _pulse_pairs(seq.pulses, _fractions(samples_per_pulse), err)
-    _require_unitary(
-        _pair_defect((a, b)), message="non-unitary partial rotation: pulse angles or errors too large"
-    )
+    (a, b), rows = _pulse_pairs(seq.pulses, err.epsilon, err.f, np.array(_fractions(samples_per_pulse)))
+    # the kernel's overflow guard, as in su2._pair_fidelity: a pair is NaN,
+    # its a included, exactly when its angle overflowed
+    if not np.isfinite(a).all():
+        raise ValueError("non-unitary partial rotation: pulse angles or errors too large")
     # row i - 1 of the path holds pulse i's partial rotations; a pulse acts
     # after every earlier one, whose product is the last column of the row
     # before, already updated

@@ -222,7 +222,7 @@ def total_time(seq: PulseSequence) -> float:
 def compose_with_errors(seq: PulseSequence, err: ErrorPair) -> Unitary2:
     """Matrix of the whole sequence with every pulse deformed by the same
     error pair."""
-    return _pair_matrix(_sequence_pair(seq, err))
+    return _pair_matrix(_sequence_pair(seq, err.epsilon, err.f))
 
 
 def sequence_to_dict(seq: PulseSequence) -> dict:

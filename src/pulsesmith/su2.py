@@ -5,9 +5,9 @@ products over pulse sequences, and the fidelity used to compare them.
 
 Every gate the package builds is special unitary, U = [[a, -b*], [b, a*]],
 so inside the package a gate travels as its Cayley-Klein pair (a, b) of
-complex values or arrays: the pair product, the pair fidelity and the pair
-unitarity guard below are closed forms on two arrays instead of four matrix
-entries. Matrices, plain (..., 2, 2) complex numpy arrays, appear only at
+complex values or arrays: the pair product and the pair fidelity below are
+closed forms on two arrays instead of four matrix entries, and the pair
+guard is one finiteness test. Matrices, plain (..., 2, 2) complex numpy arrays, appear only at
 the public boundary: :func:`rotation` and :func:`rotation_with_error` build
 theirs once from the pair, and :func:`compose`, :func:`gate_fidelity`,
 :func:`unitarity_defect` (and ``bloch.apply_to_state``) accept any 2x2
@@ -20,6 +20,7 @@ one call instead of a loop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,22 @@ def _is_finite(value) -> bool:
     # test; every element for an array. An int beyond the double range is not
     # finite, where math.isfinite would raise OverflowError.
     if isinstance(value, np.ndarray):
-        return bool(np.all(np.isfinite(value)))
+        return bool(np.isfinite(value).all())
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _count(value, name: str) -> int:
+    # a count as a Python int: ints and numpy integers pass, a bool, a float
+    # or anything else is a ValueError naming the count
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,7 @@ class Pulse:
         for name in ("theta", "phi"):
             value = getattr(self, name)
             try:
-                finite = np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)
+                finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
             except OverflowError:
                 finite = False
             if not finite:
@@ -100,22 +112,22 @@ class ErrorPair:
 NO_ERROR = ErrorPair(0.0, 0.0)
 
 
-def _axis_pair(theta, cos_phi, sin_phi, err: ErrorPair):
+def _axis_pair(theta, cos_phi, sin_phi, eps, f):
     # Cayley-Klein pair of cos(h) I - i sin(h) m.sigma for the deformed
     # rotation's half angle h and unit axis m, elementwise over broadcast
     # arguments; the in-plane axis comes as its (cos phi, sin phi), so a
     # stack of pulses with different phases is one call. At zero error nrm
     # is exactly 1, so the ideal rotation gets the same bits through this
     # one path.
-    nrm = np.sqrt(1.0 + err.f * err.f)
-    half = 0.5 * (theta * (1.0 + err.epsilon) * nrm)
+    nrm = np.sqrt(1.0 + f * f)
+    half = 0.5 * (theta * (1.0 + eps) * nrm)
     s = np.sin(half)
-    mx, my, mz = cos_phi / nrm, sin_phi / nrm, err.f / nrm
+    mx, my, mz = cos_phi / nrm, sin_phi / nrm, f / nrm
     return np.cos(half) - 1j * (s * mz), s * my - 1j * (s * mx)
 
 
 def _rotation_pair(pulse: Pulse, err: ErrorPair):
-    return _axis_pair(pulse.theta, math.cos(pulse.phi), math.sin(pulse.phi), err)
+    return _axis_pair(pulse.theta, math.cos(pulse.phi), math.sin(pulse.phi), err.epsilon, err.f)
 
 
 def _pair_matrix(pair) -> Unitary2:
@@ -140,68 +152,60 @@ def _pair_product(left, right):
     return a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
 
 
-def _pair_defect(pair):
-    # unitarity_defect of the pair's matrix: its columns are orthogonal by
-    # construction and both have squared norm |a|^2 + |b|^2. Squares and
-    # sums only, so a NaN or infinite component gives a NaN or infinite
-    # defect without an invalid-value warning.
-    a, b = pair
-    norm = a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)
-    return math.sqrt(2.0) * np.abs(norm - 1.0)
-
-
-def _require_unitary(*defects, message="non-unitary operand"):
-    # the one unitarity test: ValueError(message) unless every defect of
-    # every stack is within UNITARITY_TOL; a NaN compares false, so it fails
+def _require_unitary(*defects):
+    # the unitarity test of the public matrix functions, which accept any
+    # matrix: ValueError unless every defect of every stack is within
+    # UNITARITY_TOL; a NaN compares false, so it fails
     for defect in defects:
         if not np.all(defect <= UNITARITY_TOL):
-            raise ValueError(message)
+            raise ValueError("non-unitary operand")
 
 
 def _pair_fidelity(pair, target):
-    # gate_fidelity of the two pairs' matrices, with the pair guard:
-    # tr(U^dagger V) = 2 Re(a* c + b* d) is real for special unitaries. Taken
-    # through numpy's complex products, which round like gate_fidelity's
-    # entrywise ones, so both give the same bits.
-    _require_unitary(_pair_defect(pair), _pair_defect(target))
+    # gate_fidelity of the two pairs' matrices: tr(U^dagger V) = 2 Re(a* c +
+    # b* d) is real for special unitaries. Taken through numpy's complex
+    # products, which round like gate_fidelity's entrywise ones, so both give
+    # the same bits. The overflow guard: a kernel pair is unitary to a few
+    # ulps per pulse unless its angle overflowed, which makes the whole pair
+    # NaN, and a NaN reaches a of every product; so the sequence pair's a is
+    # all there is to test (the target comes from a finite Pulse).
     (a, b), (c, d) = pair, target
+    if not np.isfinite(a).all():
+        raise ValueError("non-unitary operand")
     return np.minimum(1.0, np.abs((c.conj() * a + d.conj() * b).real))
 
 
-def _pulse_pairs(pulses, fractions, err: ErrorPair):
-    # Pairs of the distinct pulses after each fraction of their angle, as a
-    # (distinct pulses, fractions, *error shape) stack from one _axis_pair
-    # call, and the stack row of each pulse in application order. The key
-    # carries the sign of theta, because Pulse(0.0, phi) == Pulse(-0.0, phi)
-    # but their pairs can differ in the sign of a zero. An angle too large
-    # for the closed form overflows to a NaN pair: reported by the pair
-    # guards instead of by numpy warnings.
+def _pulse_pairs(pulses, eps, f, fractions=None):
+    # Pairs of the distinct pulses as a (distinct pulses, *error shape) stack
+    # from one _axis_pair call, and the stack row of each pulse in
+    # application order; given fractions, and scalar errors, the stack is
+    # (distinct pulses, fractions) of each pulse after each fraction of its
+    # angle. The key carries the sign of theta, because Pulse(0.0, phi) ==
+    # Pulse(-0.0, phi) but their pairs can differ in the sign of a zero. An
+    # angle too large for the closed form overflows to a NaN pair: reported
+    # by the callers' guards instead of by numpy warnings.
     keys = {}
-    rows = [keys.setdefault((p, math.copysign(1.0, p.theta)), len(keys)) for p in pulses]
-    trailing = (1,) * np.broadcast(err.epsilon, err.f).ndim
-    columns = np.array([(p.theta, math.cos(p.phi), math.sin(p.phi)) for p, _ in keys], dtype=float)
-    theta, cos_phi, sin_phi = columns.T.reshape((3, -1, 1) + trailing)
-    theta = theta * np.array(fractions, dtype=float).reshape((-1,) + trailing)
+    rows = [keys.setdefault((p.theta, math.copysign(1.0, p.theta), p.phi), len(keys)) for p in pulses]
+    trailing = 1 if fractions is not None else max(np.ndim(eps), np.ndim(f))
+    columns = np.array([(theta, math.cos(phi), math.sin(phi)) for theta, _, phi in keys], dtype=float)
+    theta, cos_phi, sin_phi = columns.T.reshape((3, -1) + (1,) * trailing)
+    if fractions is not None:
+        theta = theta * fractions
     with np.errstate(over="ignore", invalid="ignore"):
-        return _axis_pair(theta, cos_phi, sin_phi, err), rows
+        return _axis_pair(theta, cos_phi, sin_phi, eps, f), rows
 
 
-def _sequence_pair(seq, err: ErrorPair):
-    # pair of the whole sequence, every pulse deformed by err; the product
-    # runs in application order, later pulses on the left
+def _sequence_pair(seq, eps, f):
+    # pair of the whole sequence, every pulse deformed by the error fields
+    # eps and f; the product runs in application order, later pulses on the
+    # left
     if not seq.pulses:
         raise ValueError("empty sequence")
-    (a, b), rows = _pulse_pairs(seq.pulses, (1.0,), err)
-    acc = a[rows[0], 0], b[rows[0], 0]
+    (a, b), rows = _pulse_pairs(seq.pulses, eps, f)
+    acc = a[rows[0]], b[rows[0]]
     for r in rows[1:]:
-        acc = _pair_product((a[r, 0], b[r, 0]), acc)
+        acc = _pair_product((a[r], b[r]), acc)
     return acc
-
-
-def _target_fidelity(seq, err: ErrorPair):
-    # fidelity of the sequence under err against its ideal target; the pair
-    # guard raises ValueError for an angle that overflowed
-    return _pair_fidelity(_sequence_pair(seq, err), _rotation_pair(seq.target, NO_ERROR))
 
 
 def _matrix_operand(U) -> np.ndarray:

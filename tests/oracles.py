@@ -3,8 +3,9 @@
 Nothing here shares code with the package under test: rotations go through a
 generic matrix exponential, products through scalar quaternion algebra,
 first-order error terms through finite differences of those products, the
-sinc inverse through Brent's method, and the log-log line fit through
-numpy's polyfit.
+sinc inverse through Brent's method, the log-log line fit through numpy's
+polyfit, and the unitarity defect of a Cayley-Klein pair through its
+squared norm.
 """
 
 import math
@@ -83,6 +84,17 @@ def quat_fidelity(q, target):
 def quat_to_matrix(q):
     a, (bx, by, bz) = q
     return a * ID - 1j * (bx * SX + by * SY + bz * SZ)
+
+
+def pair_defect(pair):
+    """Frobenius norm of U^dagger U - I for the special-unitary form
+    U = [[a, -b*], [b, a*]] of a Cayley-Klein pair (a, b), elementwise: the
+    columns are orthogonal by construction and both have squared norm
+    |a|^2 + |b|^2. Squares and sums only, so a NaN or infinite component
+    gives a NaN or infinite defect without a warning."""
+    a, b = pair
+    norm = a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)
+    return math.sqrt(2.0) * np.abs(norm - 1.0)
 
 
 def bloch_distance(r, s):

@@ -126,7 +126,8 @@ def test_slope_report_points_lie_on_its_ray(family):
         for ray in rays:
             report = slope_report(seq, ray, T_VALUES)
             d_eps, d_f = report.ray
-            want = 1.0 - su2._target_fidelity(seq, ErrorPair(t * d_eps, t * d_f))
+            pair = su2._sequence_pair(seq, t * d_eps, t * d_f)
+            want = 1.0 - su2._pair_fidelity(pair, su2._rotation_pair(seq.target, su2.NO_ERROR))
             assert report.infidelities == tuple(want.tolist()), (theta, ray)
 
 
@@ -605,6 +606,38 @@ def test_axis_spec_rejects_ints_beyond_the_double_range(start, stop, reason):
     # math.isfinite raised OverflowError for these
     with pytest.raises(ValueError, match=reason):
         AxisSpec(start, stop, 3)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [2.5, 3.0, np.float64(3.0), True, np.True_, "3", None],
+    ids=["float", "whole-float", "numpy-float", "bool", "numpy-bool", "str", "none"],
+)
+def test_axis_spec_rejects_a_count_that_is_not_an_int(count):
+    # 2.5 once constructed, and points() then raised numpy's TypeError
+    with pytest.raises(ValueError, match=r"axis count must be an int, got"):
+        AxisSpec(0.0, 1.0, count)
+
+
+def test_axis_spec_takes_numpy_integer_counts():
+    axis = AxisSpec(0.0, 1.0, np.int64(3))
+    assert type(axis.count) is int and axis == AxisSpec(0.0, 1.0, 3)
+    assert axis.to_dict() == {"start": 0.0, "stop": 1.0, "count": 3}
+    assert np.array_equal(axis.points(), [0.0, 0.5, 1.0])
+
+
+def test_ints_beyond_the_double_range_raise_the_fit_and_ray_value_errors():
+    # both escaped as OverflowError ("int too large to convert to float")
+    with pytest.raises(ValueError, match="values must be finite"):
+        fit_loglog_slope([1e-3, 2e-3, 4e-3, 8e-3], [1e-6, 4e-6, 10**400, 6.4e-5])
+    for ray in [(10**400, 1.0), (0.0, -10**400)]:
+        for call in (infidelity_ray, slope_report):
+            with pytest.raises(ValueError, match="must have finite components and a finite norm"):
+                call(elementary(1.0, 0.0), ray, [0.1, 0.2])
+    # ints inside the double range are numbers like any other
+    assert infidelity_ray(elementary(1.0, 0.0), (1, 0), [0.1]) == infidelity_ray(
+        elementary(1.0, 0.0), (1.0, 0.0), [0.1]
+    )
 
 
 @pytest.mark.parametrize("count", [1, 0, -3])

@@ -256,6 +256,26 @@ def test_trajectory_input_validation():
         trajectory(seq, ErrorPair(0.0, 0.0), BlochVector(math.nan, 0.0, 1.0), 4)
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [2.5, 4.0, np.float64(4.0), True, np.True_, "4", None],
+    ids=["float", "whole-float", "numpy-float", "bool", "numpy-bool", "str", "none"],
+)
+def test_trajectory_rejects_a_sample_count_that_is_not_an_int(samples):
+    # 2.5 raised TypeError from range, and True ran as 1
+    with pytest.raises(ValueError, match=r"samples_per_pulse must be an int, got"):
+        trajectory(elementary(PI, 0.0), ErrorPair(0.0, 0.0), NORTH_POLE, samples)
+
+
+def test_trajectory_takes_numpy_integer_sample_counts():
+    seq, err = scorbutus(PI, 0.3), ErrorPair(0.1, -0.1)
+    traj = trajectory(seq, err, NORTH_POLE, np.int64(4))
+    want = trajectory(seq, err, NORTH_POLE, 4)
+    assert type(traj.samples_per_pulse) is int
+    assert trajectory_to_csv(traj) == trajectory_to_csv(want)
+    assert trajectory_to_dict(traj) == trajectory_to_dict(want)
+
+
 def test_trajectory_csv_and_dict():
     traj = trajectory(elementary(PI, 0.0), ErrorPair(0.1, 0.1), NORTH_POLE, 2)
     text = trajectory_to_csv(traj)

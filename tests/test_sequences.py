@@ -407,6 +407,9 @@ REPEATED_PULSES = {
     # sign of a zero
     "signed-zero": (Pulse(-0.0, 3.0), Pulse(0.0, 3.0), Pulse(0.0, 1.0), Pulse(-0.0, 1.0), Pulse(-0.0, 3.0)),
     "int-and-float": (Pulse(1, 0.5), Pulse(1.0, 0.5), Pulse(2, 4), Pulse(1, 0.5), Pulse(2.0, 4.0)),
+    # an int beyond int64 (not equal to the double 1e300) must still give a
+    # float stack, not an object one
+    "big-int": (Pulse(10**300, 0.5), Pulse(1e300, 0.5), Pulse(3, 1.0), Pulse(10**300, 0.5)),
 }
 REPEAT_ERRORS = {
     "zero": ErrorPair(0.0, 0.0),
@@ -421,7 +424,7 @@ REPEAT_ERRORS = {
 @pytest.mark.parametrize("err", REPEAT_ERRORS.values(), ids=REPEAT_ERRORS)
 @pytest.mark.parametrize("pulses", REPEATED_PULSES.values(), ids=REPEATED_PULSES)
 def test_sequence_pair_keeps_the_bits_of_a_plain_fold(pulses, err):
-    got = _sequence_pair(PulseSequence(pulses, Pulse(PI, 0.0), "custom"), err)
+    got = _sequence_pair(PulseSequence(pulses, Pulse(PI, 0.0), "custom"), err.epsilon, err.f)
     want = plain_fold(pulses, err)
     for x, y in zip(got, want):
         assert np.shape(x) == np.shape(y)
@@ -430,7 +433,9 @@ def test_sequence_pair_keeps_the_bits_of_a_plain_fold(pulses, err):
         assert np.array_equal(np.signbit(x.imag), np.signbit(y.imag))
 
 
-DISTINCT_PULSES = {"scrofulous": 2, "scorbutus": 3, "skinsc": 5, "signed-zero": 4, "int-and-float": 2}
+DISTINCT_PULSES = {
+    "scrofulous": 2, "scorbutus": 3, "skinsc": 5, "signed-zero": 4, "int-and-float": 2, "big-int": 3,
+}
 
 
 @pytest.mark.parametrize("name", REPEATED_PULSES)
@@ -441,13 +446,13 @@ def test_sequence_pair_rotates_each_distinct_pulse_once(name, monkeypatch):
     axis_pair = su2._axis_pair
     stacks = []
 
-    def counting(theta, cos_phi, sin_phi, err):
+    def counting(theta, cos_phi, sin_phi, eps, f):
         stacks.append(np.shape(theta))
-        return axis_pair(theta, cos_phi, sin_phi, err)
+        return axis_pair(theta, cos_phi, sin_phi, eps, f)
 
     monkeypatch.setattr(su2, "_axis_pair", counting)
     seq = PulseSequence(REPEATED_PULSES[name], Pulse(PI, 0.0), "custom")
-    _sequence_pair(seq, ErrorPair(0.1, -0.2))
+    _sequence_pair(seq, 0.1, -0.2)
     assert len(stacks) == 1
     assert stacks[0][0] == DISTINCT_PULSES[name]
 

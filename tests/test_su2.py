@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from pulsesmith.bloch import NORTH_POLE, apply_to_state
+from pulsesmith.analysis import AxisSpec, fidelity_grid, infidelity_ray
+from pulsesmith.bloch import NORTH_POLE, apply_to_state, trajectory
 from pulsesmith.sequences import PulseSequence
 from pulsesmith.su2 import (
     NO_ERROR,
@@ -16,8 +18,10 @@ from pulsesmith.su2 import (
     ErrorPair,
     Pulse,
     TWO_PI,
-    _pair_defect,
     _pair_fidelity,
+    _pair_matrix,
+    _pair_product,
+    _pulse_pairs,
     _rotation_pair,
     _sequence_pair,
     compose,
@@ -411,7 +415,7 @@ def test_pair_compose_and_fidelity_match_the_quaternion_oracle(pulses, target, d
     eps, f = data.draw(error_stacks(shape))
     theta, phi, target_eps, target_f = target
     seq = PulseSequence(tuple(Pulse(t, p) for t, p in pulses), Pulse(theta, phi), "custom")
-    a, b = _sequence_pair(seq, ErrorPair(eps, f))
+    a, b = _sequence_pair(seq, eps, f)
     # a deformed target, so that neither of its components is real
     fidelity = _pair_fidelity((a, b), _rotation_pair(seq.target, ErrorPair(target_eps, target_f)))
     assert np.shape(a) == np.shape(b) == np.shape(fidelity) == shape
@@ -435,23 +439,79 @@ def test_pair_guard_equals_the_defect_of_the_pair_matrix(q, scale):
     a = q[:, 0] + 1j * q[:, 1]
     b = q[:, 2] + 1j * q[:, 3]
     matrices = np.moveaxis(pair_as_matrix(a, b), -1, 0)
-    assert np.max(np.abs(_pair_defect((a, b)) - unitarity_defect(matrices))) <= 1e-15
+    assert np.max(np.abs(oracles.pair_defect((a, b)) - unitarity_defect(matrices))) <= 1e-15
     for k in range(5):
-        assert abs(_pair_defect((a[k], b[k])) - unitarity_defect(matrices[k])) <= 1e-15
+        assert abs(oracles.pair_defect((a[k], b[k])) - unitarity_defect(matrices[k])) <= 1e-15
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# The kernel's only guard is one finiteness test, which rests on two facts:
+# a pair built from a finite half angle is unitary to rounding, and an angle
+# too large for the closed form makes the whole pair NaN, which reaches a of
+# every product. Angles up to the double range and errors far beyond any
+# physical one probe both sides of the overflow; a ray's errors stay within
+# 0.5, so only angles above about 1.1e308 overflow there.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    pulses=st.lists(st.tuples(FINITE_FLOATS, FINITE_FLOATS), min_size=1, max_size=6),
+    eps=hnp.arrays(np.float64, (3,), elements=st.floats(-1e200, 1e200)),
+    f=hnp.arrays(np.float64, (3,), elements=st.floats(-1e200, 1e200)),
+)
+def test_kernel_pairs_are_unitary_or_all_nan_and_every_path_says_which(pulses, eps, f):
+    seq = PulseSequence(tuple(Pulse(t, p) for t, p in pulses), Pulse(1.0, 0.0), "custom")
+    ray = (eps[2], f[2]) if math.hypot(eps[2], f[2]) > 0.0 else (1.0, 0.0)
+    t_values = [1e-3, 0.1, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (a, b), _ = _pulse_pairs(seq.pulses, eps[:, np.newaxis], f)
+        finite = np.isfinite(a)
+        assert np.array_equal(np.isnan(a) & np.isnan(b), ~finite)
+        assert np.array_equal(np.isfinite(b), finite)
+        assert np.all(unitarity_defect(_pair_matrix((a[finite], b[finite]))) <= UNITARITY_TOL)
+        composed, _ = _sequence_pair(seq, eps[:, np.newaxis], f)
+        assert np.array_equal(np.isfinite(composed), finite.all(axis=0))
+        # each path raises its documented error exactly when a pair at one of
+        # its own error points overflowed, and is finite otherwise
+        unit = np.array(ray) / math.hypot(*ray)
+        t = np.array(t_values)
+        ray_pairs, _ = _pulse_pairs(seq.pulses, t * unit[0], t * unit[1])
+        calls = [
+            (finite[:, :2, :2], "non-unitary operand",
+             lambda: fidelity_grid(seq, AxisSpec(eps[0], eps[1], 2), AxisSpec(f[0], f[1], 2)).values),
+            (np.isfinite(ray_pairs[0]), "non-unitary operand",
+             lambda: np.array(infidelity_ray(seq, ray, t_values))),
+            (finite[:, 2, 2], "non-unitary partial rotation",
+             lambda: np.array(trajectory(seq, ErrorPair(eps[2], f[2]), NORTH_POLE, 3).x)),
+        ]
+        for pair_finite, message, call in calls:
+            if pair_finite.all():
+                assert np.all(np.isfinite(call()))
+            else:
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("part", range(4))
 def test_pair_guard_fails_for_a_non_finite_component(bad, part):
+    # the kernel's guard tests the a of the sequence pair only: a non-finite
+    # component of a pulse's pair reaches a of its product with a finite
+    # pair in either order, and the fidelity rejects exactly that element
     pair = _rotation_pair(Pulse(1.3, 0.4), ErrorPair(np.linspace(-0.2, 0.2, 5), 0.1))
     broken = np.stack(pair)
     view = broken.view(float).reshape(2, 5, 2)  # (a or b, stack, real or imag)
     view[part // 2, 3, part % 2] = bad
     broken_pair = (broken[0], broken[1])
-    assert not _pair_defect(broken_pair)[3] <= UNITARITY_TOL
-    assert np.all(_pair_defect(broken_pair)[[0, 1, 2, 4]] <= UNITARITY_TOL)
+    assert not oracles.pair_defect(broken_pair)[3] <= UNITARITY_TOL
+    assert np.all(oracles.pair_defect(broken_pair)[[0, 1, 2, 4]] <= UNITARITY_TOL)
+    # every component nonzero, so that an infinite one makes no inf * 0
+    other = _rotation_pair(Pulse(2.1, 1.1), ErrorPair(0.05, -0.1))
     target = _rotation_pair(Pulse(1.3, 0.4), NO_ERROR)
-    with pytest.raises(ValueError, match="non-unitary operand"):
-        _pair_fidelity(broken_pair, target)
-    with pytest.raises(ValueError, match="non-unitary operand"):
-        _pair_fidelity(target, broken_pair)
+    intact = [0, 1, 2, 4]
+    for a, b in (_pair_product(broken_pair, other), _pair_product(other, broken_pair)):
+        assert not np.isfinite(a[3])
+        with pytest.raises(ValueError, match="non-unitary operand"):
+            _pair_fidelity((a, b), target)
+        assert np.all(_pair_fidelity((a[intact], b[intact]), target) <= 1.0)

@@ -1,0 +1,88 @@
+"""Print one digest per CLI invocation over a fixed matrix of invocations.
+
+    python tools/cli_digests.py > new.txt
+    python tools/cli_digests.py --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+The matrix is 224 invocations: the four families at seven target angles
+(pi, pi/2, 1.0, 0.3, 0.05, 3.9, 6.2) and two phases (0, 1.3), each through
+``verify --out``, ``synth --dump-matrix`` and ``trajectory --samples 16``
+(at eps = 0.1, f = -0.1), plus the default grid and a
+``-1:1:41`` x ``-3:3:33`` grid of every family and angle at phase 1.3.
+Angles outside a family's domain are part of the matrix: their exit code
+and error line are digested like any other output.
+
+Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
+stderr and the file written by ``--out``, in that order. Every invocation
+runs in this process through ``pulsesmith.cli.main``, imported from
+``--src`` (default: the ``src`` directory next to this script), inside a
+temporary directory, so output file names are the same in every run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+FAMILIES = ("elementary", "scrofulous", "scorbutus", "skinsc")
+THETAS = ("pi", "pi/2", "1.0", "0.3", "0.05", "3.9", "6.2")
+PHIS = ("0", "1.3")
+OUT = "out.dat"
+
+
+def invocations() -> list[list[str]]:
+    calls = []
+    for family in FAMILIES:
+        for theta in THETAS:
+            target = ["--family", family, "--theta", theta]
+            for phi in PHIS:
+                calls.append(["verify", *target, "--phi", phi, "--out", OUT])
+                calls.append(["synth", *target, "--phi", phi, "--dump-matrix"])
+                calls.append(
+                    ["trajectory", *target, "--phi", phi, "--eps", "0.1", "--f", "-0.1", "--samples", "16"]
+                )
+            calls.append(["grid", *target, "--phi", "1.3"])
+            calls.append(["grid", *target, "--phi", "1.3", "--eps", "-1:1:41", "--f", "-3:3:33"])
+    return calls
+
+
+def digest(main, argv: list[str]) -> str:
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(OUT)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    written = Path(OUT).read_bytes() if os.path.exists(OUT) else None
+    h = hashlib.sha256(json.dumps([code, stdout.getvalue(), stderr.getvalue(), written is not None]).encode())
+    h.update(written or b"")
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory holding the pulsesmith package to run")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from pulsesmith import cli
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for argv in invocations():
+                print(" ".join(argv), digest(cli.main, argv), sep="\t")
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
