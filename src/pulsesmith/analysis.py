@@ -13,6 +13,7 @@ must reproduce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +35,11 @@ from .su2 import (
 
 INFIDELITY_FLOOR = 1e-14
 GRID_BLOCK_POINTS = 2048
-"""Error points :func:`fidelity_grid` evaluates per batched call (whole f
-rows, at least one): enough to amortise numpy's per-call cost, few enough
-that the intermediate stacks stay small."""
+"""About the error points :func:`fidelity_grid` evaluates per batched call:
+the grid's f rows are split into ceil(points / GRID_BLOCK_POINTS) blocks of
+near-equal size (at most one per row), so that no block is a remainder of a
+few rows that pays a whole call's overhead. Enough to amortise numpy's
+per-call cost, few enough that the intermediate stacks stay small."""
 
 # Veltkamp split of 1e17 = 2**17 * 5**17 (an exact double) into two halves
 # of at most 26 significant bits, for Dekker's product in _fraction_digits
@@ -100,6 +103,13 @@ class AxisSpec:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
+
+    @functools.cached_property
+    def _texts(self) -> tuple[str, ...]:
+        # the %.17g texts of the points, for grid_to_csv; cached per
+        # instance (cached_property writes the instance dict, which the
+        # frozen dataclass leaves open)
+        return tuple(f"{x:.17g}" for x in self.points().tolist())
 
     def to_dict(self) -> dict:
         return {"start": self.start, "stop": self.stop, "count": self.count}
@@ -176,7 +186,11 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
     kept = [(t, v) for t, v in zip(t_values, values) if v > INFIDELITY_FLOOR]
     if len(kept) < 4:
         raise ValueError("insufficient dynamic range")
-    if not all(0.0 < t < math.inf for t, _ in kept):
+    try:
+        positive = all(t > 0.0 and math.isfinite(t) for t, _ in kept)
+    except OverflowError:
+        positive = False  # an int beyond the double range
+    if not positive:
         raise ValueError("t of the kept points must be finite and positive")
     log_t = [math.log(t) for t, _ in kept]
     if len(set(log_t)) < 2:
@@ -290,18 +304,19 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     """Gate fidelity of the erroneous sequence against its target over an
     inclusive (epsilon, f) grid.
 
-    Whole f rows are evaluated in batched blocks of about
-    GRID_BLOCK_POINTS points, which keeps the intermediate matrix stacks
-    small; every point gets the same bits as a row-at-a-time evaluation.
+    Whole f rows are evaluated in batched blocks of near-equal size, about
+    GRID_BLOCK_POINTS points each, which keeps the intermediate matrix
+    stacks small; every point gets the same bits as a row-at-a-time
+    evaluation.
     """
     eps_points = eps_axis.points()
     f_points = f_axis.points()[:, np.newaxis]
-    rows_per_block = max(1, GRID_BLOCK_POINTS // eps_axis.count)
+    block_count = min(f_axis.count, -(-eps_axis.count * f_axis.count // GRID_BLOCK_POINTS))
     # the axes are checked finite, so their points go to the kernel as they are
     target = _rotation_pair(seq.target, NO_ERROR)
     blocks = [
         _pair_fidelity(_sequence_pair(seq, eps_points, f_block), target)
-        for f_block in np.split(f_points, range(rows_per_block, f_axis.count, rows_per_block))
+        for f_block in np.array_split(f_points, block_count)
     ]
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.concatenate(blocks))
 
@@ -349,30 +364,42 @@ def _fraction_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, in_range
 
 
+@functools.lru_cache(maxsize=1)
+def _fraction_row_templates(eps_texts: tuple[str, ...], f_texts: tuple[str, ...]) -> tuple[str, ...]:
+    # grid_to_csv's 0.%d template of each f row. Keyed on the axis texts, not
+    # on the AxisSpecs: AxisSpec(-1.0, -0.0, 3) == AxisSpec(-1.0, 0.0, 3),
+    # with the same hash, but their last points print as -0 and 0. Only the
+    # last axis pair is kept (about 0.3 MB for the default grid), so the
+    # memo never holds a copy of every large CSV it has seen.
+    return tuple(sep.join(eps_texts) + sep for sep in (f",{f},0.%d\n" for f in f_texts))
+
+
 def grid_to_csv(grid: FidelityGrid) -> str:
     """CSV with header epsilon,f,fidelity; f varies slowest. Floats carry 17
     significant digits so the values round-trip.
 
     Formatting the fidelities is nearly all of the cost, so each f row is
     one ``%`` call: a row template holds the row's epsilon and f texts
-    (each formatted once) around one conversion per fidelity. A row whose
-    fidelities all lie in [0.1, 1), which is nearly every row of a
-    landscape, prints them as ``0.%d`` from the integers of
-    :func:`_fraction_digits`; any other row prints them with ``%.17g``.
-    Both give the same bytes as ``:.17g``.
+    around one conversion per fidelity. The texts are formatted once per
+    axis (each :class:`AxisSpec` caches its own). A row whose fidelities
+    all lie in [0.1, 1), which is nearly every row of a landscape, prints
+    them as ``0.%d`` from the integers of :func:`_fraction_digits`, through
+    a template taken from a memo of the last axis pair's templates; any
+    other row prints them with ``%.17g``, through a template built for the
+    call. Both give the same bytes as ``:.17g``.
     """
-    eps_texts = [f"{e:.17g}" for e in grid.eps_axis.points().tolist()]
+    eps_texts, f_texts = grid.eps_axis._texts, grid.f_axis._texts
+    templates = _fraction_row_templates(eps_texts, f_texts)
     digits, in_range = _fraction_digits(grid.values)
     parts = ["epsilon,f,fidelity\n"]
-    for f, row, row_digits, exact in zip(
-        grid.f_axis.points().tolist(), grid.values, digits, in_range.all(axis=1)
+    for f, template, row, row_digits, exact in zip(
+        f_texts, templates, grid.values, digits, in_range.all(axis=1)
     ):
         if exact:
-            sep = f",{f:.17g},0.%d\n"
-            row = row_digits
+            parts.append(template % tuple(row_digits.tolist()))
         else:
-            sep = f",{f:.17g},%.17g\n"
-        parts.append((sep.join(eps_texts) + sep) % tuple(row.tolist()))
+            sep = f",{f},%.17g\n"
+            parts.append((sep.join(eps_texts) + sep) % tuple(row.tolist()))
     return "".join(parts)
 
 

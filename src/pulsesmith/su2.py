@@ -112,18 +112,35 @@ class ErrorPair:
 NO_ERROR = ErrorPair(0.0, 0.0)
 
 
-def _axis_pair(theta, cos_phi, sin_phi, eps, f):
+def _axis_pair(theta, cos_phi, sin_phi, eps, f, angle_rows=None):
     # Cayley-Klein pair of cos(h) I - i sin(h) m.sigma for the deformed
     # rotation's half angle h and unit axis m, elementwise over broadcast
     # arguments; the in-plane axis comes as its (cos phi, sin phi), so a
-    # stack of pulses with different phases is one call. At zero error nrm
-    # is exactly 1, so the ideal rotation gets the same bits through this
-    # one path.
+    # stack of pulses with different phases is one call. Given angle_rows,
+    # theta is a stack of distinct angles and row i of the phases takes the
+    # sines and cosines of angle row angle_rows[i], so each angle goes
+    # through libm once. At zero error nrm is exactly 1, so the ideal
+    # rotation gets the same bits through this one path.
     nrm = np.sqrt(1.0 + f * f)
     half = 0.5 * (theta * (1.0 + eps) * nrm)
-    s = np.sin(half)
+    s, c = np.sin(half), np.cos(half)
+    if angle_rows is not None:
+        s, c = s.take(angle_rows, axis=0), c.take(angle_rows, axis=0)
     mx, my, mz = cos_phi / nrm, sin_phi / nrm, f / nrm
-    return np.cos(half) - 1j * (s * mz), s * my - 1j * (s * mx)
+    # a = cos(h) - i s mz and b = s my - i s mx, built from their real and
+    # imaginary parts instead of through complex temporaries, with the bits
+    # of those: the negated parts are 0 - x (a zero comes out as +0), and
+    # b's real part is s my - 0 x, the real part of s my - 1j x for every
+    # sign of zero; a's real part is cos(h) itself, since libm's cos never
+    # returns a zero
+    x = s * mx
+    a, b = np.array(c, dtype=complex), np.array(s * my - 0.0 * x, dtype=complex)
+    a.imag = 0.0 - s * mz
+    b.imag = 0.0 - x
+    # [()] turns a 0-d result back into a numpy scalar, as the complex
+    # temporaries gave: numpy's scalar arithmetic, unlike its array loops,
+    # does not fuse multiply-adds, so the scalar callers keep their bits
+    return a[()], b[()]
 
 
 def _rotation_pair(pulse: Pulse, err: ErrorPair):
@@ -180,19 +197,25 @@ def _pulse_pairs(pulses, eps, f, fractions=None):
     # from one _axis_pair call, and the stack row of each pulse in
     # application order; given fractions, and scalar errors, the stack is
     # (distinct pulses, fractions) of each pulse after each fraction of its
-    # angle. The key carries the sign of theta, because Pulse(0.0, phi) ==
-    # Pulse(-0.0, phi) but their pairs can differ in the sign of a zero. An
-    # angle too large for the closed form overflows to a NaN pair: reported
-    # by the callers' guards instead of by numpy warnings.
-    keys = {}
+    # angle. The sines and cosines are taken once per distinct angle (SKinsC
+    # has 5 distinct pulses but 3 angles), then each distinct pulse applies
+    # its phase. The keys carry the sign of theta, because Pulse(0.0, phi)
+    # == Pulse(-0.0, phi) but their pairs can differ in the sign of a zero.
+    # An angle too large for the closed form overflows to a NaN pair:
+    # reported by the callers' guards instead of by numpy warnings.
+    keys, angles = {}, {}
     rows = [keys.setdefault((p.theta, math.copysign(1.0, p.theta), p.phi), len(keys)) for p in pulses]
-    trailing = 1 if fractions is not None else max(np.ndim(eps), np.ndim(f))
-    columns = np.array([(theta, math.cos(phi), math.sin(phi)) for theta, _, phi in keys], dtype=float)
-    theta, cos_phi, sin_phi = columns.T.reshape((3, -1) + (1,) * trailing)
+    angle_rows = [angles.setdefault((theta, sign), len(angles)) for theta, sign, _ in keys]
+    shape = (-1,) + (1,) * (1 if fractions is not None else max(np.ndim(eps), np.ndim(f)))
+    theta = np.array([theta for theta, _ in angles], dtype=float).reshape(shape)
+    cos_phi = np.array([math.cos(phi) for _, _, phi in keys], dtype=float).reshape(shape)
+    sin_phi = np.array([math.sin(phi) for _, _, phi in keys], dtype=float).reshape(shape)
     if fractions is not None:
         theta = theta * fractions
     with np.errstate(over="ignore", invalid="ignore"):
-        return _axis_pair(theta, cos_phi, sin_phi, eps, f), rows
+        # without a repeated angle the angle rows are the pulse rows
+        pairs = _axis_pair(theta, cos_phi, sin_phi, eps, f, angle_rows if len(angles) < len(keys) else None)
+    return pairs, rows
 
 
 def _sequence_pair(seq, eps, f):

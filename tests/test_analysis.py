@@ -451,10 +451,10 @@ def _row_loop_grid(seq, eps_axis, f_axis):
 @pytest.mark.parametrize(
     "eps_count, f_count, block_points",
     [
-        (3, 37, GRID_BLOCK_POINTS),  # one block
-        (101, 37, GRID_BLOCK_POINTS),  # blocks of 20 and 17 rows
-        (3, 37, 8),  # blocks of 2 rows, the last one a single row
-        (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS),  # above the budget: one row per block
+        (3, 37, GRID_BLOCK_POINTS),  # 111 points: one block
+        (101, 37, GRID_BLOCK_POINTS),  # 3737 points: 2 blocks, of 19 and 18 rows
+        (3, 37, 8),  # 111 points: 14 blocks, nine of 3 rows and five of 2
+        (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS),  # above the budget: 4 blocks, capped at one per row
     ],
 )
 def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, block_points, monkeypatch):
@@ -522,6 +522,48 @@ def test_grid_csv_bytes_equal_the_per_line_reference(eps_axis, f_axis):
     assert grid_to_csv(grid) == reference
     # linspace keeps the sign of a zero stop, so an axis holds -0.0
     assert "-0," in reference
+
+
+def _csv_reference(grid):
+    return "epsilon,f,fidelity\n" + "".join(
+        f"{e:.17g},{f:.17g},{v:.17g}\n"
+        for f, row in zip(grid.f_axis.points().tolist(), grid.values.tolist())
+        for e, v in zip(grid.eps_axis.points().tolist(), row)
+    )
+
+
+@pytest.mark.parametrize("zero_axis", ["f", "eps"])
+def test_grid_csv_row_templates_are_keyed_on_the_axis_texts(zero_axis):
+    # the two axes are equal, with one hash, but their last points print as
+    # -0 and 0: each grid gets its own bytes, in either order and repeated
+    negative, positive = AxisSpec(-1.0, -0.0, 3), AxisSpec(-1.0, 0.0, 3)
+    assert negative == positive and hash(negative) == hash(positive)
+    other = AxisSpec(0.2, 0.3, 3)
+    # in-range rows print through the memo's 0.%d templates; the middle row
+    # holds the zero-error 1.0, which keeps the %.17g template
+    values = np.array([[0.5, 0.25, 0.125], [0.75, 1.0, 0.5], [0.3, 0.7, 0.9]])
+    texts = set()
+    for axis in (negative, positive, negative, negative, positive, positive):
+        eps_axis, f_axis = (other, axis) if zero_axis == "f" else (axis, other)
+        grid = FidelityGrid(Pulse(PI, 0.0), "custom", eps_axis, f_axis, values)
+        text = grid_to_csv(grid)
+        assert text == _csv_reference(grid)
+        assert ",1\n" in text
+        texts.add(text)
+        # the memo holds the last axis pair only
+        assert analysis._fraction_row_templates.cache_info().currsize == 1
+    assert len(texts) == 2
+
+
+def test_grid_csv_of_swapped_axes_gets_its_own_bytes():
+    a, b = AxisSpec(-0.25, 0.25, 4), AxisSpec(0.1, 0.2, 4)
+    values = np.linspace(0.2, 0.9, 16).reshape(4, 4)
+    texts = []
+    for eps_axis, f_axis in ((a, b), (b, a), (a, b)):
+        grid = FidelityGrid(Pulse(PI, 0.0), "custom", eps_axis, f_axis, values)
+        texts.append(grid_to_csv(grid))
+        assert texts[-1] == _csv_reference(grid)
+    assert texts[0] != texts[1] and texts[0] == texts[2]
 
 
 def _odd_over(power):
@@ -624,6 +666,16 @@ def test_axis_spec_takes_numpy_integer_counts():
     assert type(axis.count) is int and axis == AxisSpec(0.0, 1.0, 3)
     assert axis.to_dict() == {"start": 0.0, "stop": 1.0, "count": 3}
     assert np.array_equal(axis.points(), [0.0, 0.5, 1.0])
+
+
+def test_fit_rejects_a_kept_t_that_is_an_int_beyond_the_double_range():
+    # 0.0 < 10**400 < math.inf holds for a Python int, and math.log takes it
+    with pytest.raises(ValueError, match="t of the kept points must be finite and positive"):
+        fit_loglog_slope([1e-3, 2e-3, 4e-3, 10**400], [1e-6, 4e-6, 1.6e-5, 6.4e-5])
+    # ints inside the double range are numbers like any other
+    assert fit_loglog_slope([1, 2, 4, 8], [1e-6, 4e-6, 1.6e-5, 6.4e-5]) == fit_loglog_slope(
+        [1.0, 2.0, 4.0, 8.0], [1e-6, 4e-6, 1.6e-5, 6.4e-5]
+    )
 
 
 def test_ints_beyond_the_double_range_raise_the_fit_and_ray_value_errors():

@@ -436,25 +436,39 @@ def test_sequence_pair_keeps_the_bits_of_a_plain_fold(pulses, err):
 DISTINCT_PULSES = {
     "scrofulous": 2, "scorbutus": 3, "skinsc": 5, "signed-zero": 4, "int-and-float": 2, "big-int": 3,
 }
+# the distinct (theta, sign of theta) of each case: SKinsC's 5 distinct
+# pulses share 3 angles, and 0.0 and -0.0 stay apart
+DISTINCT_ANGLES = {
+    "scrofulous": 2, "scorbutus": 3, "skinsc": 3, "signed-zero": 2, "int-and-float": 2, "big-int": 3,
+}
 
 
 @pytest.mark.parametrize("name", REPEATED_PULSES)
 def test_sequence_pair_rotates_each_distinct_pulse_once(name, monkeypatch):
-    # one rotation call per product, over a stack of the distinct pulses
+    # one rotation call per product, over a stack of the distinct pulses,
+    # whose sines and cosines are taken over the stack of distinct angles
     from pulsesmith import su2
 
     axis_pair = su2._axis_pair
-    stacks = []
+    calls = []
 
-    def counting(theta, cos_phi, sin_phi, eps, f):
-        stacks.append(np.shape(theta))
-        return axis_pair(theta, cos_phi, sin_phi, eps, f)
+    def counting(theta, cos_phi, sin_phi, eps, f, angle_rows=None):
+        pair = axis_pair(theta, cos_phi, sin_phi, eps, f, angle_rows)
+        calls.append((np.array(theta), pair))
+        return pair
 
     monkeypatch.setattr(su2, "_axis_pair", counting)
-    seq = PulseSequence(REPEATED_PULSES[name], Pulse(PI, 0.0), "custom")
+    pulses = REPEATED_PULSES[name]
+    seq = PulseSequence(pulses, Pulse(PI, 0.0), "custom")
     _sequence_pair(seq, 0.1, -0.2)
-    assert len(stacks) == 1
-    assert stacks[0][0] == DISTINCT_PULSES[name]
+    assert len(calls) == 1
+    theta, (a, b) = calls[0]
+    assert a.shape[0] == b.shape[0] == DISTINCT_PULSES[name]
+    assert theta.shape[0] == DISTINCT_ANGLES[name]
+    # in order of first appearance, each with its sign
+    angles = list(dict.fromkeys((p.theta, math.copysign(1.0, p.theta)) for p in pulses))
+    assert theta.ravel().tolist() == [float(angle) for angle, _ in angles]
+    assert np.signbit(theta.ravel()).tolist() == [sign < 0.0 for _, sign in angles]
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)

@@ -97,6 +97,32 @@ def test_zero_error_reproduces_rotation_bit_for_bit():
         assert exact.tobytes() == rotation(p).tobytes()
 
 
+SIGNED_ANGLES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.pi, 2 * math.pi, 3 * math.pi, -4.5)
+SIGNED_PHASES = (0.0, math.pi / 2, math.pi, 1.3, 4.0)
+
+
+def _complex_form(theta, phi, eps, f):
+    # the pair through complex temporaries, c - 1j (s mz) and s my - 1j (s mx)
+    nrm = np.sqrt(1.0 + f * f)
+    half = 0.5 * (theta * (1.0 + eps) * nrm)
+    s = np.sin(half)
+    mx, my, mz = math.cos(phi) / nrm, math.sin(phi) / nrm, f / nrm
+    return np.cos(half) - 1j * (s * mz), s * my - 1j * (s * mx)
+
+
+@pytest.mark.parametrize("eps, f", [(0.0, 0.0), (-0.0, -0.0), (0.1, -0.2), (-1.0, 0.0), (0.3, 0.0)])
+def test_rotation_pair_keeps_the_bits_of_the_complex_form_signed_zeros_too(eps, f):
+    # the kernel builds a and b from their parts; a zero part must keep the sign
+    # that the complex arithmetic gives it, on a scalar and on a stack
+    stack = np.array(SIGNED_ANGLES)[:, np.newaxis]
+    for theta in (*SIGNED_ANGLES, stack):
+        for phi in SIGNED_PHASES:
+            got = _rotation_pair(Pulse(theta, phi), ErrorPair(eps, f))
+            for x, y in zip(got, _complex_form(theta, Pulse(theta, phi).phi, eps, f)):
+                assert type(x) is type(y)
+                assert np.array_equal(np.atleast_1d(x).view(np.uint64), np.atleast_1d(y).view(np.uint64))
+
+
 def test_pulse_length_error_frozen_matrix():
     U = rotation_with_error(Pulse(math.pi, 0.0), ErrorPair(0.1, 0.0))
     expected = np.array(

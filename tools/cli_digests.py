@@ -4,13 +4,16 @@
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-The matrix is 224 invocations: the four families at seven target angles
+The matrix is 228 invocations: the four families at seven target angles
 (pi, pi/2, 1.0, 0.3, 0.05, 3.9, 6.2) and two phases (0, 1.3), each through
 ``verify --out``, ``synth --dump-matrix`` and ``trajectory --samples 16``
 (at eps = 0.1, f = -0.1), plus the default grid and a
 ``-1:1:41`` x ``-3:3:33`` grid of every family and angle at phase 1.3.
 Angles outside a family's domain are part of the matrix: their exit code
-and error line are digested like any other output.
+and error line are digested like any other output. Four grids close the
+matrix, run back to back so that the CSV's row-template memo (the last axis
+pair's) both misses and hits: f axes ``-1:-0.0:3`` and ``-1:0.0:3``, equal
+as axes but printed with ``-0`` and ``0``, then one default grid twice.
 
 Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
 stderr and the file written by ``--out``, in that order. Every invocation
@@ -50,6 +53,10 @@ def invocations() -> list[list[str]]:
                 )
             calls.append(["grid", *target, "--phi", "1.3"])
             calls.append(["grid", *target, "--phi", "1.3", "--eps", "-1:1:41", "--f", "-3:3:33"])
+    target = ["--family", "skinsc", "--theta", "pi/2"]
+    calls.append(["grid", *target, "--f=-1:-0.0:3"])
+    calls.append(["grid", *target, "--f=-1:0.0:3"])
+    calls += [["grid", *target]] * 2
     return calls
 
 
