@@ -137,10 +137,9 @@ class FidelityGrid:
 
 def _unit_ray(ray: tuple[float, float]) -> tuple[float, float]:
     d_eps, d_f = ray
-    # a NaN, infinite or out-of-range component, or a norm that overflows,
+    # a component that is not a finite number, or a norm that overflows,
     # would give a NaN or a (0, 0) direction
-    nrm = math.hypot(d_eps, d_f) if _is_finite(d_eps) and _is_finite(d_f) else math.inf
-    if not math.isfinite(nrm):
+    if not (_is_finite(d_eps) and _is_finite(d_f) and _is_finite(nrm := math.hypot(d_eps, d_f))):
         raise ValueError(f"ray direction {ray!r} must have finite components and a finite norm")
     if nrm == 0.0:
         raise ValueError("ray direction must be nonzero")
@@ -158,7 +157,11 @@ def infidelity_ray(
 def _unit_ray_infidelities(seq: PulseSequence, unit: tuple[float, float], t_values) -> list[float]:
     # infidelity_ray on a normalised ray; fields built from checked t need no ErrorPair
     for t in t_values:
-        if not 0.0 <= t <= 0.5:
+        try:
+            inside = 0.0 <= t <= 0.5
+        except TypeError:
+            inside = False  # not a number
+        if not inside:
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
     t = np.asarray(t_values, dtype=float)
     d_eps, d_f = unit
@@ -177,20 +180,12 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
     """
     if len(t_values) != len(values):
         raise ValueError("t_values and values must have equal length")
-    try:
-        finite = all(map(math.isfinite, values))
-    except OverflowError:
-        finite = False  # an int beyond the double range
-    if not finite:
+    if not all(map(_is_finite, values)):
         raise ValueError("values must be finite")
     kept = [(t, v) for t, v in zip(t_values, values) if v > INFIDELITY_FLOOR]
     if len(kept) < 4:
         raise ValueError("insufficient dynamic range")
-    try:
-        positive = all(t > 0.0 and math.isfinite(t) for t, _ in kept)
-    except OverflowError:
-        positive = False  # an int beyond the double range
-    if not positive:
+    if not all(_is_finite(t) and t > 0.0 for t, _ in kept):
         raise ValueError("t of the kept points must be finite and positive")
     log_t = [math.log(t) for t, _ in kept]
     if len(set(log_t)) < 2:

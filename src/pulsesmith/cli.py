@@ -52,7 +52,7 @@ from .sequences import (
     sequence_to_dict,
     synthesize,
 )
-from .su2 import NO_ERROR, ErrorPair, matrix_to_dict
+from .su2 import NO_ERROR, ErrorPair, _is_finite, matrix_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,7 +93,7 @@ def parse_angle(text: str) -> float:
             raise ValueError(
                 f"cannot parse angle {text!r}; use a decimal or pi, 2pi, pi/2, 3pi/4"
             ) from None
-    if not math.isfinite(value):
+    if not _is_finite(value):
         raise ValueError(f"angle {text!r} must be finite")
     return value
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, _pair_matrix, _sequence_pair
+from .su2 import TWO_PI, ErrorPair, Pulse, Unitary2, _is_finite, _pair_matrix, _sequence_pair
 
 BISECT_MAX_ITER = 200
 BISECT_X_TOL = 1e-15
@@ -246,11 +246,7 @@ def _pulse(data, path: str) -> Pulse:
     angles = []
     for key in ("theta", "phi"):
         value = _member(data, key, path)
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
+        if not _is_finite(value):
             raise ValueError(f"{path}.{key} must be a finite number, got {value!r}")
         angles.append(value)
     return Pulse(*angles)

@@ -44,14 +44,17 @@ def normalize_phase(phi: float) -> float:
 
 
 def _is_finite(value) -> bool:
-    # math.isfinite for a scalar, which costs 0.1 us against 6 us for a numpy
-    # test; every element for an array. An int beyond the double range is not
-    # finite, where math.isfinite would raise OverflowError.
-    if isinstance(value, np.ndarray):
-        return bool(np.isfinite(value).all())
-    try:
+    # The package's one test of a finite real number: a finite int or float
+    # (numpy's too) or an ndarray of them; NaN, +-inf, an int beyond the double
+    # range, a bool, a complex number and a non-number fail it. math.isfinite
+    # costs 0.1 us against numpy's 6 us, and a float skips the rarer tests.
+    if isinstance(value, float):
         return math.isfinite(value)
-    except OverflowError:
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf" and bool(np.isfinite(value).all())
+    try:
+        return not isinstance(value, (bool, np.bool_, np.complexfloating)) and math.isfinite(value)
+    except (TypeError, OverflowError):
         return False
 
 
@@ -76,15 +79,9 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        # _is_finite written out: a call per field would make every pulse
-        # about 7% slower, and synthesis builds a pulse at a time
         for name in ("theta", "phi"):
             value = getattr(self, name)
-            try:
-                finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
-            except OverflowError:
-                finite = False
-            if not finite:
+            if not _is_finite(value):
                 raise ValueError(f"pulse {name} must be finite, got {value!r}")
         object.__setattr__(self, "phi", normalize_phase(self.phi))
 

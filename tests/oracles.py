@@ -4,12 +4,14 @@ Nothing here shares code with the package under test: rotations go through a
 generic matrix exponential, products through scalar quaternion algebra,
 first-order error terms through finite differences of those products, the
 sinc inverse through Brent's method, the log-log line fit through numpy's
-polyfit, and the unitarity defect of a Cayley-Klein pair through its
-squared norm.
+polyfit, the unitarity defect of a Cayley-Klein pair through its squared
+norm, and infidelities along an error ray through quaternion products in
+mpmath at 50 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
@@ -79,6 +81,31 @@ def quat_fidelity(q, target):
     a, b = q
     ta, tb = target
     return min(1.0, abs(a * ta + b[0] * tb[0] + b[1] * tb[1] + b[2] * tb[2]))
+
+
+def mp_ray_infidelity(pulses, target, ray, t, digits=50):
+    """1 - |tr(T^dagger U)| / 2 for the (theta, phi) pulses in application
+    order against the (theta, phi) target, every pulse deformed by the
+    errors t * ray / |ray|: quaternion products of mpmath numbers at
+    ``digits`` significant digits, rounded to a float once at the end."""
+    with mpmath.workdps(digits):
+        d_eps, d_f = (mpmath.mpf(c) for c in ray)
+        nrm = mpmath.hypot(d_eps, d_f)
+        eps, f = mpmath.mpf(t) * d_eps / nrm, mpmath.mpf(t) * d_f / nrm
+
+        def quat(theta, phi, eps, f):
+            scale = mpmath.sqrt(1 + f * f)
+            half = mpmath.mpf(theta) * (1 + eps) * scale / 2
+            s = mpmath.sin(half) / scale
+            phi = mpmath.mpf(phi)
+            return (mpmath.cos(half), (s * mpmath.cos(phi), s * mpmath.sin(phi), s * f))
+
+        q = (mpmath.mpf(1), (mpmath.mpf(0),) * 3)
+        for theta, phi in pulses:
+            q = quat_multiply(quat(theta, phi, eps, f), q)
+        (a, b), (ta, tb) = q, quat(*target, 0, 0)
+        overlap = abs(a * ta + b[0] * tb[0] + b[1] * tb[1] + b[2] * tb[2])
+        return float(1 - min(1, overlap))
 
 
 def quat_to_matrix(q):

@@ -91,12 +91,14 @@ def test_overflowing_angle_raises_value_error_without_warnings():
         infidelity_ray(seq, (1.0, 0.0), [0.5])
 
 
-@pytest.mark.parametrize(
-    "ray", [(1.7e308, 1.7e308), (math.nan, 1.0), (0.0, math.inf), (-math.inf, math.nan)]
-)
+@pytest.mark.parametrize("ray", [
+    (1.7e308, 1.7e308), (math.nan, 1.0), (0.0, math.inf), (-math.inf, math.nan),
+    ("a", 1.0), (None, 1.0), (1.0, 1j), (True, 0.0), ([1.0], 0.0), (np.array(["a"]), 1.0),
+])
 def test_a_ray_without_a_finite_direction_is_rejected(ray):
     # the overflowing norm of the first ray once turned it into (0, 0), and
-    # so into zero infidelity at every scale
+    # so into zero infidelity at every scale; a non-number component raised
+    # TypeError, and a bool was taken as 0 or 1
     seq = scorbutus(PI, 0.0)
     for call in (infidelity_ray, slope_report):
         with pytest.raises(ValueError, match="must have finite components and a finite norm"):
@@ -111,6 +113,11 @@ def test_infidelity_ray_input_validation():
         infidelity_ray(seq, (1.0, 0.0), [0.6])
     with pytest.raises(ValueError, match="outside"):
         infidelity_ray(seq, (1.0, 0.0), [-0.1])
+    # a scale that is not a number raised TypeError from the comparison
+    for t in ["0.1", None, 1j, [0.1], np.array(["a"])]:
+        for call in (infidelity_ray, slope_report):
+            with pytest.raises(ValueError, match=r"ray scale .* outside \[0, 0\.5\]"):
+                call(seq, (1.0, 0.0), T_VALUES[:6] + [t] + T_VALUES[6:])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -129,6 +136,20 @@ def test_slope_report_points_lie_on_its_ray(family):
             pair = su2._sequence_pair(seq, t * d_eps, t * d_f)
             want = 1.0 - su2._pair_fidelity(pair, su2._rotation_pair(seq.target, su2.NO_ERROR))
             assert report.infidelities == tuple(want.tolist()), (theta, ray)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_infidelity_ray_stays_within_1e_15_of_the_50_digit_oracle(family):
+    # 4 angles x 3 verify rays x 13 scales per family; the largest
+    # deviation over the four families is 6.7e-16
+    for theta in (0.3, 1.0, PI / 2, PI):
+        seq = synthesize(family, theta, 0.3)
+        pulses = [(p.theta, p.phi) for p in seq.pulses]
+        target = (seq.target.theta, seq.target.phi)
+        for ray in RAYS.values():
+            got = infidelity_ray(seq, ray, T_VALUES)
+            for t, value in zip(T_VALUES, got):
+                assert abs(value - oracles.mp_ray_infidelity(pulses, target, ray, t)) <= 1e-15, (theta, ray, t)
 
 
 # ------------------------------------------------------------ slope fitting
@@ -166,6 +187,12 @@ def test_fit_loglog_slope_drops_floor_points():
     ([1e-3, 2e-3, 4e-3, 8e-3], [1e-6, 4e-6, math.inf, 6.4e-5], "values must be finite"),
     ([1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2], [1e-6, 4e-6, math.nan, 6.4e-5, 2.56e-4], "values must be finite"),
     ([1e-2] * 4, [1e-6, 2e-6, 3e-6, 4e-6], "two distinct t"),
+    # a value or a kept t that is not a number raised TypeError, and a bool
+    # was taken as 1
+    *(([1e-3, 2e-3, 4e-3, 8e-3], [1e-6, 4e-6, bad, 6.4e-5], "values must be finite")
+      for bad in ["1.0", None, 1j, True, [1.0], np.array(["a"])]),
+    *(([1e-3, 2e-3, bad, 8e-3], [1e-6, 4e-6, 1.6e-5, 6.4e-5], "finite and positive")
+      for bad in ["1.0", None, 1j, True, [1.0], np.array(["a"])]),
 ])
 def test_fit_loglog_slope_rejects_bad_points(t_values, values, reason, capfd):
     # each used to warn, print LAPACK's complaints, return NaN or drop the
@@ -643,9 +670,17 @@ def test_axis_spec_rejects_non_finite_bounds(bad):
     (0.0, -10**400, "bounds must be finite"),
     # ints inside the double range whose difference is not
     (-10**308, 10**308, "overflows"),
-], ids=["start", "stop", "span"])
+    # bounds that are not numbers raised TypeError, and a bool was taken as
+    # 0 or 1
+    ("a", 1.0, "bounds must be finite"),
+    (None, 1.0, "bounds must be finite"),
+    (0.0, 1j, "bounds must be finite"),
+    (True, 2.0, "bounds must be finite"),
+    ([0.0], 1.0, "bounds must be finite"),
+    (0.0, np.array(["a"]), "bounds must be finite"),
+], ids=["start", "stop", "span", "str", "none", "complex", "bool", "list", "str-array"])
 def test_axis_spec_rejects_ints_beyond_the_double_range(start, stop, reason):
-    # math.isfinite raised OverflowError for these
+    # math.isfinite raised OverflowError for the ints
     with pytest.raises(ValueError, match=reason):
         AxisSpec(start, stop, 3)
 

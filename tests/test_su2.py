@@ -350,10 +350,19 @@ def test_error_pair_rejects_non_finite(bad):
         (-math.inf, 0.0, "theta"),
         (math.nan, 0.0, "theta"),
         (np.array([1.0, math.inf]), 0.0, "theta"),
+        ("1.0", 0.0, "theta"),
+        (None, 0.0, "theta"),
+        (1.0, 1j, "phi"),
+        (True, 0.0, "theta"),
+        (np.True_, 0.0, "theta"),
+        ([1.0], 0.0, "theta"),
+        (np.array(["a"]), 0.0, "theta"),
+        (np.array([1j]), 0.0, "theta"),
     ],
 )
 def test_pulse_rejects_non_finite_fields(theta, phi, field):
-    # rotation once turned such a pulse into a NaN matrix, or warned
+    # rotation once turned such a pulse into a NaN matrix, or warned; a
+    # non-number raised TypeError and a bool was taken as 0 or 1
     with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
         Pulse(theta, phi)
 
@@ -363,9 +372,18 @@ def test_pulse_rejects_non_finite_fields(theta, phi, field):
     (Pulse, (1.0, -10**400), "pulse phi must be finite"),
     (ErrorPair, (10**400, 0.0), "epsilon must be finite"),
     (ErrorPair, (0.0, -10**400), "f must be finite"),
+    # nor is a non-number (TypeError once), a bool or a complex number
+    (ErrorPair, ("x", 0.0), "epsilon must be finite"),
+    (ErrorPair, (None, 0.0), "epsilon must be finite"),
+    (ErrorPair, (0.0, 1j), "f must be finite"),
+    (ErrorPair, (0.0, np.complex128(0.1)), "f must be finite"),
+    (ErrorPair, (True, 0.0), "epsilon must be finite"),
+    (ErrorPair, ([1.0], 0.0), "epsilon must be finite"),
+    (ErrorPair, (0.0, np.array(["a"])), "f must be finite"),
+    (ErrorPair, (np.array([True, False]), 0.0), "epsilon must be finite"),
 ])
 def test_ints_beyond_the_double_range_are_not_finite(build, args, reason):
-    # math.isfinite raised OverflowError for these, numpy's test TypeError
+    # math.isfinite raised OverflowError for the ints, numpy's test TypeError
     with pytest.raises(ValueError, match=reason):
         build(*args)
 

@@ -4,22 +4,25 @@
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-The matrix is 228 invocations: the four families at seven target angles
-(pi, pi/2, 1.0, 0.3, 0.05, 3.9, 6.2) and two phases (0, 1.3), each through
-``verify --out``, ``synth --dump-matrix`` and ``trajectory --samples 16``
-(at eps = 0.1, f = -0.1), plus the default grid and a
-``-1:1:41`` x ``-3:3:33`` grid of every family and angle at phase 1.3.
-Angles outside a family's domain are part of the matrix: their exit code
-and error line are digested like any other output. Four grids close the
-matrix, run back to back so that the CSV's row-template memo (the last axis
-pair's) both misses and hits: f axes ``-1:-0.0:3`` and ``-1:0.0:3``, equal
-as axes but printed with ``-0`` and ``0``, then one default grid twice.
+The matrix is 228 invocations, 56 for each of the four families and four
+more: every family at seven target angles (pi, pi/2, 1.0, 0.3, 0.05, 3.9,
+6.2) and two phases (0, 1.3), each through ``verify --out``,
+``synth --dump-matrix`` and ``trajectory --samples 16`` (at eps = 0.1,
+f = -0.1), plus the default grid and a ``-1:1:41`` x ``-3:3:33`` grid of
+every family and angle at phase 1.3. Angles outside a family's domain are
+part of the matrix: their exit code and error line are digested like any
+other output. Four grids close the matrix, run back to back so that the
+CSV's row-template memo (the last axis pair's) both misses and hits: f axes
+``-1:-0.0:3`` and ``-1:0.0:3``, equal as axes but printed with ``-0`` and
+``0``, then one default grid twice.
 
 Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
 stderr and the file written by ``--out``, in that order. Every invocation
 runs in this process through ``pulsesmith.cli.main``, imported from
 ``--src`` (default: the ``src`` directory next to this script), inside a
-temporary directory, so output file names are the same in every run.
+temporary directory, so output file names are the same in every run. The
+families are the imported package's ``pulsesmith.sequences.FAMILIES``, so
+a family added to its table joins the matrix.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-FAMILIES = ("elementary", "scrofulous", "scorbutus", "skinsc")
 THETAS = ("pi", "pi/2", "1.0", "0.3", "0.05", "3.9", "6.2")
 PHIS = ("0", "1.3")
 OUT = "out.dat"
 
 
-def invocations() -> list[list[str]]:
+def invocations(families) -> list[list[str]]:
     calls = []
-    for family in FAMILIES:
+    for family in families:
         for theta in THETAS:
             target = ["--family", family, "--theta", theta]
             for phi in PHIS:
@@ -79,12 +81,13 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from pulsesmith import cli
+    from pulsesmith.sequences import FAMILIES
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for argv in invocations():
+            for argv in invocations(FAMILIES):
                 print(" ".join(argv), digest(cli.main, argv), sep="\t")
         finally:
             os.chdir(home)
