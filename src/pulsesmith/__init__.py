@@ -13,7 +13,6 @@ from .analysis import (
     OreResidualReport,
     SlopeReport,
     TimeComparisonRow,
-    alpha_coefficient,
     fidelity_grid,
     first_order_coefficient,
     fit_loglog_slope,

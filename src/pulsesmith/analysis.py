@@ -246,33 +246,12 @@ def _is_palindromic(seq: PulseSequence) -> bool:
     return len(seq.pulses) % 2 == 1 and seq.pulses == tuple(reversed(seq.pulses))
 
 
-def _palindrome_half(seq: PulseSequence) -> list[Pulse]:
-    if not _is_palindromic(seq):
-        raise ValueError("sequence is not palindromic")
-    return list(seq.pulses[: (len(seq.pulses) + 1) // 2])
-
-
-def alpha_coefficient(seq: PulseSequence, i: int) -> float:
-    """Weight of the i-th mirrored pulse pair in the first-order
-    off-resonance term of a palindromic sequence (2k-1 pulses, pair indices
-    1..k-1 counted from the outside; the central pulse enters with weight 1).
-
-    alpha_i is the trace of the product of the inverses of pulses 1..i-1
-    followed by pulses i+1 up the half-sequence to k and back down to 1; the
-    trace of an SU(2) product is real. The test suite checks the assembly
-    against :func:`first_order_coefficient`, the exact derivative of the
-    composed matrix, to rounding.
-    """
-    half = _palindrome_half(seq)
-    k = len(half)
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"pair index {i} outside 1..{k - 1}")
-    return _alpha([_rotation_pair(p, NO_ERROR) for p in half], i)
-
-
 def _alpha(rotations: list, i: int) -> float:
-    # alpha_coefficient from the ideal pairs of the half-sequence's pulses
-    # (a*, -b) is the inverse U^dagger of a special unitary
+    # alpha_i, the weight of the i-th mirrored pulse pair (1..k-1 from the
+    # outside) in the first-order off-resonance term, from the ideal pairs of
+    # the k pulses of the half-sequence: the trace, real in SU(2), of the
+    # inverses of pulses 1..i-1 followed by pulses i+1 up to k and back down
+    # to 1. (a*, -b) is the inverse U^dagger of a special unitary.
     inverses = [(a.conj(), -b) for a, b in rotations[: i - 1]]
     factors = inverses + rotations[i:] + rotations[-2::-1]
     v = factors[0]
@@ -287,7 +266,9 @@ def symmetric_ore_residual(seq: PulseSequence) -> OreResidualReport:
     sequence. Zero residual means the first-order off-resonance term of the
     composed sequence vanishes; the full derivative matrix equals
     -i * residual * sigma_z."""
-    half = _palindrome_half(seq)
+    if not _is_palindromic(seq):
+        raise ValueError("sequence is not palindromic")
+    half = seq.pulses[: (len(seq.pulses) + 1) // 2]
     rotations = [_rotation_pair(p, NO_ERROR) for p in half]
     s_values = [math.sin(0.5 * p.theta) for p in half]
     alpha_values = [_alpha(rotations, i) for i in range(1, len(half))]

@@ -13,7 +13,6 @@ from pulsesmith.analysis import (
     INFIDELITY_FLOOR,
     AxisSpec,
     FidelityGrid,
-    alpha_coefficient,
     fidelity_grid,
     first_order_coefficient,
     fit_loglog_slope,
@@ -94,11 +93,12 @@ def test_overflowing_angle_raises_value_error_without_warnings():
 @pytest.mark.parametrize("ray", [
     (1.7e308, 1.7e308), (math.nan, 1.0), (0.0, math.inf), (-math.inf, math.nan),
     ("a", 1.0), (None, 1.0), (1.0, 1j), (True, 0.0), ([1.0], 0.0), (np.array(["a"]), 1.0),
+    (np.array([1.0, 2.0]), 0.0),
 ])
 def test_a_ray_without_a_finite_direction_is_rejected(ray):
     # the overflowing norm of the first ray once turned it into (0, 0), and
     # so into zero infidelity at every scale; a non-number component raised
-    # TypeError, and a bool was taken as 0 or 1
+    # TypeError (an array one too), and a bool was taken as 0 or 1
     seq = scorbutus(PI, 0.0)
     for call in (infidelity_ray, slope_report):
         with pytest.raises(ValueError, match="must have finite components and a finite norm"):
@@ -193,6 +193,12 @@ def test_fit_loglog_slope_drops_floor_points():
       for bad in ["1.0", None, 1j, True, [1.0], np.array(["a"])]),
     *(([1e-3, 2e-3, bad, 8e-3], [1e-6, 4e-6, 1.6e-5, 6.4e-5], "finite and positive")
       for bad in ["1.0", None, 1j, True, [1.0], np.array(["a"])]),
+    # nor is an array, 0-d included: a real one was taken, or failed on
+    # numpy's ambiguous truth value
+    *(([1e-3, 2e-3, 4e-3, 8e-3], [1e-6, 4e-6, bad, 6.4e-5], "values must be finite")
+      for bad in [np.array([1.6e-5, 2e-5]), np.array(1.6e-5)]),
+    *(([1e-3, 2e-3, bad, 8e-3], [1e-6, 4e-6, 1.6e-5, 6.4e-5], "finite and positive")
+      for bad in [np.array([4e-3, 5e-3]), np.array(4e-3)]),
 ])
 def test_fit_loglog_slope_rejects_bad_points(t_values, values, reason, capfd):
     # each used to warn, print LAPACK's complaints, return NaN or drop the
@@ -349,12 +355,12 @@ def test_scorbutus_first_order_terms_vanish_exactly_across_its_domain():
 
 def test_alpha_scrofulous_pi_closed_form():
     # -2 cos(phi2 - phi1) sin(theta1/2) with cos(phi2 - phi1) = -1/2
-    assert alpha_coefficient(scrofulous(PI, 0.0), 1) == pytest.approx(1.0, abs=1e-10)
+    assert symmetric_ore_residual(scrofulous(PI, 0.0)).alpha_values[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_alpha_scorbutus_pi_closed_form():
     # -2 sin(theta_r / 2) at theta_r = pi/2
-    assert alpha_coefficient(scorbutus(PI, 0.0), 2) == pytest.approx(
+    assert symmetric_ore_residual(scorbutus(PI, 0.0)).alpha_values[1] == pytest.approx(
         -math.sqrt(2), abs=1e-10
     )
 
@@ -363,18 +369,16 @@ def test_alpha_identity_flanks():
     center = Pulse(PI, 0.0)
     blank = Pulse(0.0, 0.0)
     seq = PulseSequence((blank, center, blank), center, "custom")
-    assert alpha_coefficient(seq, 1) == pytest.approx(0.0, abs=1e-12)
+    assert symmetric_ore_residual(seq).alpha_values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alpha_input_validation():
-    seq = scorbutus(PI, 0.0)
-    with pytest.raises(ValueError, match="pair index"):
-        alpha_coefficient(seq, 3)
     crooked = PulseSequence((Pulse(1.0, 0.0), Pulse(2.0, 0.0)), Pulse(1.0, 0.0), "custom")
-    with pytest.raises(ValueError, match="not palindromic"):
-        alpha_coefficient(crooked, 1)
-    with pytest.raises(ValueError, match="not palindromic"):
-        symmetric_ore_residual(crooked)
+    # a mirror image of even length has no central pulse
+    even = PulseSequence((Pulse(1.0, 0.0), Pulse(1.0, 0.0)), Pulse(2.0, 0.0), "custom")
+    for seq in (crooked, even):
+        with pytest.raises(ValueError, match="not palindromic"):
+            symmetric_ore_residual(seq)
 
 
 def test_alpha_assembly_against_derivative_oracle():
@@ -678,7 +682,10 @@ def test_axis_spec_rejects_non_finite_bounds(bad):
     (True, 2.0, "bounds must be finite"),
     ([0.0], 1.0, "bounds must be finite"),
     (0.0, np.array(["a"]), "bounds must be finite"),
-], ids=["start", "stop", "span", "str", "none", "complex", "bool", "list", "str-array"])
+    # an array bound built a 2-D axis
+    (np.array([0.0, 1.0]), 2.0, "bounds must be finite"),
+    (0.0, np.array(2.0), "bounds must be finite"),
+], ids=["start", "stop", "span", "str", "none", "complex", "bool", "list", "str-array", "array", "0-d"])
 def test_axis_spec_rejects_ints_beyond_the_double_range(start, stop, reason):
     # math.isfinite raised OverflowError for the ints
     with pytest.raises(ValueError, match=reason):

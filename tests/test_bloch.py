@@ -25,8 +25,8 @@ from pulsesmith.sequences import (
 from pulsesmith.su2 import (
     ErrorPair,
     Pulse,
+    _axis_pair,
     _pair_product,
-    _rotation_pair,
     gate_fidelity,
     rotation,
 )
@@ -318,7 +318,10 @@ def _fold(seq, err, initial, m):
     rows = [(0, 0.0, initial.x, initial.y, initial.z)]
     prefix = None
     for index, pulse in enumerate(seq.pulses, start=1):
-        partials = _rotation_pair(Pulse(pulse.theta * fractions, pulse.phi), err)
+        # a Pulse holds one angle: the fractions of this one go to the kernel
+        partials = _axis_pair(
+            pulse.theta * fractions, math.cos(pulse.phi), math.sin(pulse.phi), err.epsilon, err.f
+        )
         if prefix is not None:
             partials = _pair_product(partials, prefix)
         x, y, z = _turn(partials, initial)

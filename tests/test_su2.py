@@ -18,6 +18,7 @@ from pulsesmith.su2 import (
     ErrorPair,
     Pulse,
     TWO_PI,
+    _axis_pair,
     _pair_fidelity,
     _pair_matrix,
     _pair_product,
@@ -117,8 +118,13 @@ def test_rotation_pair_keeps_the_bits_of_the_complex_form_signed_zeros_too(eps, 
     stack = np.array(SIGNED_ANGLES)[:, np.newaxis]
     for theta in (*SIGNED_ANGLES, stack):
         for phi in SIGNED_PHASES:
-            got = _rotation_pair(Pulse(theta, phi), ErrorPair(eps, f))
-            for x, y in zip(got, _complex_form(theta, Pulse(theta, phi).phi, eps, f)):
+            phase = normalize_phase(phi)
+            if np.ndim(theta):
+                # a Pulse holds one angle: the stack goes to the kernel itself
+                got = _axis_pair(theta, math.cos(phase), math.sin(phase), eps, f)
+            else:
+                got = _rotation_pair(Pulse(theta, phi), ErrorPair(eps, f))
+            for x, y in zip(got, _complex_form(theta, phase, eps, f)):
                 assert type(x) is type(y)
                 assert np.array_equal(np.atleast_1d(x).view(np.uint64), np.atleast_1d(y).view(np.uint64))
 
@@ -358,6 +364,11 @@ def test_error_pair_rejects_non_finite(bad):
         ([1.0], 0.0, "theta"),
         (np.array(["a"]), 0.0, "theta"),
         (np.array([1j]), 0.0, "theta"),
+        # a pulse holds one angle: an array phase failed on numpy's
+        # ambiguous truth value, and an array or 0-d theta was taken
+        (1.0, np.array([0.1, 0.2]), "phi"),
+        (np.array([0.5, 1.0]), 0.3, "theta"),
+        (np.array(1.0), 0.0, "theta"),
     ],
 )
 def test_pulse_rejects_non_finite_fields(theta, phi, field):
@@ -381,11 +392,22 @@ def test_pulse_rejects_non_finite_fields(theta, phi, field):
     (ErrorPair, ([1.0], 0.0), "epsilon must be finite"),
     (ErrorPair, (0.0, np.array(["a"])), "f must be finite"),
     (ErrorPair, (np.array([True, False]), 0.0), "epsilon must be finite"),
+    (ErrorPair, (0.0, np.array([0.1, 1j])), "f must be finite"),
 ])
 def test_ints_beyond_the_double_range_are_not_finite(build, args, reason):
     # math.isfinite raised OverflowError for the ints, numpy's test TypeError
     with pytest.raises(ValueError, match=reason):
         build(*args)
+
+
+def test_error_pair_takes_arrays_of_finite_reals():
+    # the one input that takes arrays, for error sweeps: 1-D, broadcast 2-D,
+    # 0-d and integer arrays are kept as they are
+    column = np.linspace(-0.1, 0.1, 3)[:, np.newaxis]
+    for eps, f in [(np.linspace(-0.2, 0.2, 5), 0.1), (np.linspace(-0.2, 0.2, 4), column),
+                   (np.array(0.1), 0.0), (0.0, np.arange(3))]:
+        err = ErrorPair(eps, f)
+        assert err.epsilon is eps and err.f is f
 
 
 NOT_2X2 = {
