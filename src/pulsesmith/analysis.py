@@ -395,9 +395,10 @@ def _compared_families() -> list[str]:
     return [name for name, spec in FAMILY_SPECS.items() if min(spec.slopes.values()) >= 4.0]
 
 
-def time_compare(theta_values: list[float], phi: float = 0.0) -> list[TimeComparisonRow]:
-    """Total operation time of every bi-robust family per target angle. The
-    phase never changes a total; domain failures are annotated per row."""
+def time_compare(theta_values: list[float]) -> list[TimeComparisonRow]:
+    """Total operation time of every bi-robust family per target angle,
+    synthesized at phase 0 since the phase never changes a total; domain
+    failures are annotated per row."""
     families = _compared_families()
     rows = []
     for theta in theta_values:
@@ -405,7 +406,7 @@ def time_compare(theta_values: list[float], phi: float = 0.0) -> list[TimeCompar
         times, notes = {}, []
         for family in families:
             try:
-                times[family] = total_time(synthesize(family, theta, phi))
+                times[family] = total_time(synthesize(family, theta, 0.0))
             except ValueError as exc:
                 times[family] = None
                 notes.append(f"{family}: {exc}")

@@ -241,7 +241,7 @@ def cmd_timecompare(args: argparse.Namespace) -> int:
     else:
         # 256 points over (0, pi]
         thetas = AxisSpec(0.0, math.pi, 257).points()[1:]
-    rows = time_compare(thetas, args.phi)
+    rows = time_compare(thetas)
     _emit(args, rows, time_compare_to_csv, time_compare_to_dict)
     return EXIT_OK
 
@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timecompare", help="total operation time of each bi-robust family per angle")
     p.add_argument("--thetas", default=None, help="target angles min:max:count; default 256 points over (0, pi]")
-    p.add_argument("--phi", type=_angle_arg, default=0.0)
     p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_timecompare)

@@ -113,7 +113,9 @@ def scrofulous(theta: float, phi: float) -> PulseSequence:
 def theta_r_from_condition(theta1: float) -> float:
     """Switchback angle that zeroes the first-order off-resonance term of the
     five-pulse sequence: cos(theta_r) = (1 - pi sin^2(theta1/2) / theta1) / 2,
-    taken on the principal branch [0, pi]."""
+    taken on the principal branch [0, pi]; at theta1 = 0 its limit, pi/3."""
+    if theta1 == 0.0:
+        return math.acos(0.5)
     s = math.sin(0.5 * theta1)
     rhs = 0.5 * (1.0 - math.pi * s * s / theta1)
     if not -1.0 <= rhs <= 1.0:

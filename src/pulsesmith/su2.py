@@ -147,17 +147,12 @@ def _rotation_pair(pulse: Pulse, err: ErrorPair):
 
 
 def _pair_matrix(pair) -> Unitary2:
-    # [[a, -b*], [b, a*]] over the broadcast shape of the pair; the negated
-    # parts are written as 0 - x, so that a zero comes out as +0 (a -0 would
-    # print as "-0.0" in matrix JSON)
+    # [[a, -b*], [b, a*]] over the broadcast shape of the pair; np.broadcast
+    # and the conj ufunc cost a quarter of np.broadcast_shapes and of a
+    # numpy scalar's .conj()
     a, b = pair
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)) + (2, 2), dtype=complex)
-    out[..., 0, 0] = a
-    out[..., 1, 0] = b
-    out.real[..., 0, 1] = 0.0 - b.real
-    out.imag[..., 0, 1] = b.imag
-    out.real[..., 1, 1] = a.real
-    out.imag[..., 1, 1] = 0.0 - a.imag
+    out = np.empty(np.broadcast(a, b).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, -np.conj(b), b, np.conj(a)
     return out
 
 
@@ -252,9 +247,11 @@ def rotation_with_error(pulse: Pulse, err: ErrorPair) -> Unitary2:
     sqrt(1 + f^2), so this is a rotation by theta (1+eps) sqrt(1+f^2) about
     the normalized tilted axis. Reduces exactly to :func:`rotation` at zero
     error. Array error fields give the stack of rotations over their
-    broadcast shape.
+    broadcast shape. A deformed angle that overflows gives a NaN matrix
+    without a warning, as in ``compose_with_errors``.
     """
-    return _pair_matrix(_rotation_pair(pulse, err))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pair_matrix(_rotation_pair(pulse, err))
 
 
 def compose(matrices: list[Unitary2]) -> Unitary2:
@@ -279,21 +276,20 @@ def unitarity_defect(U: Unitary2) -> float | np.ndarray:
 
     U†U holds the squared column norms on its diagonal and the inner product
     of the two columns (and its conjugate) off it, so the norm is taken from
-    those. A NaN or infinite entry gives a NaN or infinite defect, without a
+    those. A NaN, an infinite or a huge finite entry (above about 1e77,
+    whose fourth power overflows) gives a NaN or infinite defect, without a
     warning.
     """
     U = _matrix_operand(U)
-    squares = U.real * U.real + U.imag * U.imag
-    norms = squares[..., 0, :] + squares[..., 1, :]
-    # an infinite entry makes the overlap inf * 0 or inf - inf, a NaN that
-    # only joins the infinite norm already in the defect
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = U.real * U.real + U.imag * U.imag
+        norms = squares[..., 0, :] + squares[..., 1, :]
         overlap = U[..., 0, 0].conj() * U[..., 0, 1] + U[..., 1, 0].conj() * U[..., 1, 1]
-    diagonal = (norms - 1.0) ** 2
-    defect = np.sqrt(
-        diagonal[..., 0] + diagonal[..., 1]
-        + 2.0 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
-    )
+        diagonal = (norms - 1.0) ** 2
+        defect = np.sqrt(
+            diagonal[..., 0] + diagonal[..., 1]
+            + 2.0 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
+        )
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -314,8 +310,8 @@ def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
 
 
 def matrix_to_dict(U: Unitary2) -> dict:
-    """Row-major split into real and imaginary parts for JSON output."""
-    return {
-        "re": [[float(U[i, j].real) for j in range(2)] for i in range(2)],
-        "im": [[float(U[i, j].imag) for j in range(2)] for i in range(2)],
-    }
+    """Row-major split of a 2x2 matrix or a (..., 2, 2) stack into real and
+    imaginary parts for JSON output; any other shape is a ValueError. A zero
+    prints as 0.0, never -0.0: adding +0.0 turns -0.0 into +0.0."""
+    U = _matrix_operand(U)
+    return {"re": (U.real + 0.0).tolist(), "im": (U.imag + 0.0).tolist()}

@@ -35,6 +35,7 @@ from pulsesmith.sequences import (
     switchback_replace,
     synthesize,
     theta_r_from_condition,
+    total_time,
 )
 from pulsesmith.su2 import ErrorPair, Pulse, gate_fidelity, rotation
 
@@ -770,12 +771,18 @@ def test_time_compare_frozen_rows():
 
 
 def test_time_compare_independent_of_phase():
-    thetas = [0.5, 1.5, 3.0]
-    a = time_compare(thetas, phi=0.0)
-    b = time_compare(thetas, phi=1.3)
-    assert [(r.times["scorbutus"], r.times["skinsc"]) for r in a] == [
-        (r.times["scorbutus"], r.times["skinsc"]) for r in b
-    ]
+    # time_compare synthesizes at phase 0 only: no bi-robust family's total
+    # time, nor its domain failure, depends on the target phase
+    def time_or_reason(family, theta, phi):
+        try:
+            return total_time(synthesize(family, theta, phi))
+        except ValueError as exc:
+            return str(exc)
+
+    for family in analysis._compared_families():
+        for theta in (1e-3, 0.5, 1.5, PI / 2, 3.0, PI, 3.9, 6.2, 6.9):
+            outcomes = {time_or_reason(family, theta, phi) for phi in (0.0, 1.3, PI, -2.0, 1e308, -1e308)}
+            assert len(outcomes) == 1, (family, theta, outcomes)
 
 
 def test_time_compare_annotates_domain_failures():

@@ -523,6 +523,14 @@ def test_timecompare_help_names_no_family():
     assert "SCORBUTUS" not in text
 
 
+def test_timecompare_takes_no_phase():
+    # no bi-robust family's total time depends on the target phase, so
+    # timecompare has no --phi to ignore
+    code, out, err, caught = _main_quietly(["timecompare", "--phi", "1"])
+    assert (code, out, caught) == (2, "", [])
+    assert "unrecognized arguments: --phi 1" in err
+
+
 def test_timecompare_frozen_rows(capsys):
     assert main(["timecompare", "--thetas", "pi/2:pi:2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

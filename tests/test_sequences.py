@@ -166,6 +166,13 @@ def test_theta_r_forced_cases():
     )
 
 
+@pytest.mark.parametrize("theta1", [0.0, -0.0])
+def test_theta_r_at_zero_is_its_limit(theta1):
+    # the condition's sin^2(theta1/2) / theta1 has a removable singularity
+    # at 0, filled with its limit like sinc(0) = 1; it divided by zero
+    assert theta_r_from_condition(theta1) == math.acos(0.5) == theta_r_from_condition(5e-324)
+
+
 def test_theta_r_unsatisfiable():
     # sin^2(x/2)/x < 0 and large in magnitude pushes the cosine above 1
     with pytest.raises(ValueError, match="theta_r condition unsatisfiable"):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from pulsesmith.analysis import AxisSpec, fidelity_grid, infidelity_ray
 from pulsesmith.bloch import NORTH_POLE, apply_to_state, trajectory
-from pulsesmith.sequences import PulseSequence
+from pulsesmith.sequences import PulseSequence, compose_with_errors
 from pulsesmith.su2 import (
     NO_ERROR,
     UNITARITY_TOL,
@@ -424,14 +425,15 @@ MATRIX_CALLS = {
     "compose": lambda U: compose([U]),
     "compose second": lambda U: compose([oracles.ID, U]),
     "apply_to_state": lambda U: apply_to_state(U, NORTH_POLE),
+    "matrix_to_dict": matrix_to_dict,
 }
 
 
 @pytest.mark.parametrize("call", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
 @pytest.mark.parametrize("operand", NOT_2X2.values(), ids=NOT_2X2)
 def test_matrix_functions_reject_operands_that_are_not_2x2(call, operand):
-    # a 3x3 identity once passed as unitary with fidelity 1; a vector raised
-    # IndexError
+    # a 3x3 identity once passed as unitary with fidelity 1 (matrix_to_dict
+    # printed its top-left 2x2); a vector raised IndexError
     with pytest.raises(ValueError, match=rf"2x2.*got shape {re.escape(str(operand.shape))}"):
         call(operand)
 
@@ -442,12 +444,67 @@ def test_matrix_functions_take_nested_lists():
     assert unitarity_defect(X) == 0.0
     assert gate_fidelity(X, oracles.SX) == 1.0
     assert np.array_equal(compose([X, X]), oracles.ID)
+    assert matrix_to_dict(X) == {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def test_matrix_json_round_trip():
     U = rotation_with_error(Pulse(2.2, 0.4), ErrorPair(0.02, -0.3))
     data = matrix_to_dict(U)
     assert np.array_equal(U, np.array(data["re"]) + 1j * np.array(data["im"]))
+
+
+def test_matrix_json_holds_no_negative_zero():
+    # _pair_matrix keeps the sign of every zero part; matrix_to_dict, where a
+    # zero becomes text, prints each as 0.0
+    signed = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    for a in (complex(1.0, 0.0), complex(1.0, -0.0), *signed):
+        for b in signed:
+            data = matrix_to_dict(_pair_matrix((np.complex128(a), np.complex128(b))))
+            assert "-0.0" not in json.dumps(data), (a, b)
+            assert not np.signbit([data["re"], data["im"]]).any(), (a, b)
+
+
+def test_pair_matrix_is_c_contiguous():
+    # the grid's bit reference, gate_fidelity over compose_with_errors, reads
+    # the matrix in C order
+    column = np.linspace(-1.0, 1.0, 3)[:, np.newaxis]
+    for pair in (
+        _axis_pair(1.0, 0.6, 0.8, 0.1, -0.2),
+        _axis_pair(column, 0.6, 0.8, np.linspace(-0.2, 0.2, 4), 0.1),
+        (np.ones((3, 1), dtype=complex), np.zeros(4, dtype=complex)),
+    ):
+        U = _pair_matrix(pair)
+        assert U.shape == np.broadcast_shapes(np.shape(pair[0]), np.shape(pair[1])) + (2, 2)
+        assert U.flags.c_contiguous
+
+
+@pytest.mark.parametrize("value", [1.2e77, 1e154, 1.4e154, 1e308])
+def test_huge_finite_entries_are_rejected_without_warnings(value):
+    # the defect's (norm - 1)^2, or its squares, overflowed with a numpy
+    # warning, an error under the suite's filter
+    U = np.array([[value, 0.0], [0.0, 1.0]], dtype=complex)
+    assert unitarity_defect(U) == math.inf
+    assert unitarity_defect(np.stack([oracles.ID, U]))[1] == math.inf
+    with pytest.raises(ValueError, match="non-unitary operand"):
+        gate_fidelity(U, oracles.ID)
+    with pytest.raises(ValueError, match="non-unitary operand"):
+        apply_to_state(U, NORTH_POLE)
+
+
+def test_overflowing_deformed_angle_is_a_quiet_nan_matrix():
+    # the closed form's angle theta (1 + eps) sqrt(1 + f^2) overflows: like
+    # compose_with_errors, rotation_with_error gives NaN entries instead of
+    # numpy's warnings, and the matrix functions reject them
+    pulse = Pulse(1e308, 0.0)
+    for err in (ErrorPair(1.0, 0.0), ErrorPair(0.0, 1e200), ErrorPair(np.array([0.0, 1.0]), 0.0)):
+        U = rotation_with_error(pulse, err)
+        V = compose_with_errors(PulseSequence((pulse,), pulse, "custom"), err)
+        assert np.array_equal(U, V, equal_nan=True)
+        assert np.isnan(U.reshape(-1, 4)[-1]).all()
+        with pytest.raises(ValueError, match="non-unitary operand"):
+            gate_fidelity(U, rotation(pulse))
+        with pytest.raises(ValueError, match="non-unitary operand"):
+            apply_to_state(U, NORTH_POLE)
 
 
 # ------------------------------------------------------------ pair kernel

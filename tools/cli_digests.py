@@ -4,7 +4,7 @@
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-The matrix is 228 invocations, 56 for each of the four families and four
+The matrix is 243 invocations, 59 for each of the four families and seven
 more: every family at seven target angles (pi, pi/2, 1.0, 0.3, 0.05, 3.9,
 6.2) and two phases (0, 1.3), each through ``verify --out``,
 ``synth --dump-matrix`` and ``trajectory --samples 16`` (at eps = 0.1,
@@ -14,7 +14,11 @@ part of the matrix: their exit code and error line are digested like any
 other output. Four grids close the matrix, run back to back so that the
 CSV's row-template memo (the last axis pair's) both misses and hits: f axes
 ``-1:-0.0:3`` and ``-1:0.0:3``, equal as axes but printed with ``-0`` and
-``0``, then one default grid twice.
+``0``, then one default grid twice. After them come the outputs that the
+rest leaves out: ``timecompare`` with its defaults, on ``0.1:6.2:9`` (which
+holds domain failures) and as JSON, then for each family at angle 1.0 and
+phase 1.3 a 5x5 ``grid --format json``, a ``trajectory --format json
+--samples 4`` and a ``verify --ray f --out``.
 
 Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
 stderr and the file written by ``--out``, in that order. Every invocation
@@ -59,6 +63,12 @@ def invocations(families) -> list[list[str]]:
     calls.append(["grid", *target, "--f=-1:-0.0:3"])
     calls.append(["grid", *target, "--f=-1:0.0:3"])
     calls += [["grid", *target]] * 2
+    calls += [["timecompare"], ["timecompare", "--thetas", "0.1:6.2:9"], ["timecompare", "--format", "json"]]
+    for family in families:
+        target = ["--family", family, "--theta", "1.0", "--phi", "1.3"]
+        calls.append(["grid", *target, "--eps", "-0.2:0.2:5", "--f", "-0.2:0.2:5", "--format", "json"])
+        calls.append(["trajectory", *target, "--eps", "0.1", "--f", "-0.1", "--samples", "4", "--format", "json"])
+        calls.append(["verify", *target, "--ray", "f", "--out", OUT])
     return calls
 
 
