@@ -151,11 +151,7 @@ def infidelity_ray(
 ) -> list[float]:
     """1 - F between the erroneous sequence and its target at errors
     t * (d_eps, d_f) for each scale t, with the ray normalized to unit length."""
-    return _unit_ray_infidelities(seq, _unit_ray(ray), t_values)
-
-
-def _unit_ray_infidelities(seq: PulseSequence, unit: tuple[float, float], t_values) -> list[float]:
-    # infidelity_ray on a normalised ray; fields built from checked t need no ErrorPair
+    d_eps, d_f = _unit_ray(ray)
     for t in t_values:
         try:
             inside = 0.0 <= t <= 0.5
@@ -163,8 +159,8 @@ def _unit_ray_infidelities(seq: PulseSequence, unit: tuple[float, float], t_valu
             inside = False  # not a number
         if not inside:
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
+    # error fields built from checked t need no ErrorPair
     t = np.asarray(t_values, dtype=float)
-    d_eps, d_f = unit
     pair = _sequence_pair(seq, t * d_eps, t * d_f)
     return (1.0 - _pair_fidelity(pair, _rotation_pair(seq.target, NO_ERROR))).tolist()
 
@@ -202,11 +198,10 @@ def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float,
 def slope_report(
     seq: PulseSequence, ray: tuple[float, float], t_values: list[float]
 ) -> SlopeReport:
-    """Run :func:`infidelity_ray` and fit its log-log slope."""
-    unit = _unit_ray(ray)
-    infidelities = _unit_ray_infidelities(seq, unit, t_values)
+    """Run :func:`infidelity_ray` and fit its log-log slope; reports the unit ray."""
+    infidelities = infidelity_ray(seq, ray, t_values)
     slope, residual = fit_loglog_slope(t_values, infidelities)
-    return SlopeReport(unit, tuple(t_values), tuple(infidelities), slope, residual)
+    return SlopeReport(_unit_ray(ray), tuple(t_values), tuple(infidelities), slope, residual)
 
 
 def first_order_coefficient(seq: PulseSequence, which: str) -> Unitary2:
@@ -221,19 +216,17 @@ def first_order_coefficient(seq: PulseSequence, which: str) -> Unitary2:
     """
     if which not in ("eps", "f"):
         raise ValueError(f"unknown error parameter {which!r}, expected 'eps' or 'f'")
-    # numpy scalars: _pair_product calls .conj(), which Python complex lacks
-    zero = np.complex128(0.0)
-    u, d = (np.complex128(1.0), zero), (zero, zero)
+    u, d = (1 + 0j, 0j), (0j, 0j)
     for p in seq.pulses:
         r = _rotation_pair(p, NO_ERROR)
         ru = _pair_product(r, u)
         if which == "eps":
             # g is the pair (0, -i (theta/2) e^{i phi})
             half = 0.5 * p.theta
-            g = (zero, np.complex128(complex(half * math.sin(p.phi), -half * math.cos(p.phi))))
+            g = (0j, complex(half * math.sin(p.phi), -half * math.cos(p.phi)))
             step = _pair_product(g, ru)
         else:
-            step = _pair_product((np.complex128(-1j * math.sin(0.5 * p.theta)), zero), u)
+            step = _pair_product((-1j * math.sin(0.5 * p.theta), 0j), u)
         rd = _pair_product(r, d)
         d = (rd[0] + step[0], rd[1] + step[1])
         u = ru
@@ -252,7 +245,7 @@ def _alpha(rotations: list, i: int) -> float:
     # the k pulses of the half-sequence: the trace, real in SU(2), of the
     # inverses of pulses 1..i-1 followed by pulses i+1 up to k and back down
     # to 1. (a*, -b) is the inverse U^dagger of a special unitary.
-    inverses = [(a.conj(), -b) for a, b in rotations[: i - 1]]
+    inverses = [(np.conj(a), -b) for a, b in rotations[: i - 1]]
     factors = inverses + rotations[i:] + rotations[-2::-1]
     v = factors[0]
     for factor in factors[1:]:

@@ -26,11 +26,9 @@ from .su2 import (
     Pulse,
     Unitary2,
     _count,
-    _matrix_operand,
     _pair_product,
     _pulse_pairs,
-    _require_unitary,
-    unitarity_defect,
+    _unitary_operand,
 )
 
 NORM_TOL = 1e-10
@@ -68,8 +66,7 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     """
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
-    U = _matrix_operand(np.asarray(U, dtype=complex))
-    _require_unitary(unitarity_defect(U))
+    U = _unitary_operand(np.asarray(U, dtype=complex))
     root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
     x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)
     if x.ndim == 0:

@@ -113,7 +113,10 @@ def scrofulous(theta: float, phi: float) -> PulseSequence:
 def theta_r_from_condition(theta1: float) -> float:
     """Switchback angle that zeroes the first-order off-resonance term of the
     five-pulse sequence: cos(theta_r) = (1 - pi sin^2(theta1/2) / theta1) / 2,
-    taken on the principal branch [0, pi]; at theta1 = 0 its limit, pi/3."""
+    taken on the principal branch [0, pi]; at theta1 = 0 its limit, pi/3.
+    theta1 must be a finite number."""
+    if not _is_finite(theta1):
+        raise ValueError(f"theta1 must be finite, got {theta1!r}")
     if theta1 == 0.0:
         return math.acos(0.5)
     s = math.sin(0.5 * theta1)

@@ -157,19 +157,11 @@ def _pair_matrix(pair) -> Unitary2:
 
 
 def _pair_product(left, right):
-    # pair of the matrix product L R: 4 complex products instead of 8
+    # pair of the matrix product L R, 4 complex products instead of 8; the
+    # conj ufunc takes Python complex too, at a third of a numpy scalar's .conj()
     a1, b1 = left
     a2, b2 = right
-    return a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
-
-
-def _require_unitary(*defects):
-    # the unitarity test of the public matrix functions, which accept any
-    # matrix: ValueError unless every defect of every stack is within
-    # UNITARITY_TOL; a NaN compares false, so it fails
-    for defect in defects:
-        if not np.all(defect <= UNITARITY_TOL):
-            raise ValueError("non-unitary operand")
+    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
 
 
 def _pair_fidelity(pair, target):
@@ -183,7 +175,7 @@ def _pair_fidelity(pair, target):
     (a, b), (c, d) = pair, target
     if not np.isfinite(a).all():
         raise ValueError("non-unitary operand")
-    return np.minimum(1.0, np.abs((c.conj() * a + d.conj() * b).real))
+    return np.minimum(1.0, np.abs((np.conj(c) * a + np.conj(d) * b).real))
 
 
 def _pulse_pairs(pulses, eps, f, fractions=None):
@@ -232,6 +224,15 @@ def _matrix_operand(U) -> np.ndarray:
     U = np.asarray(U)
     if U.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix or a (..., 2, 2) stack, got shape {U.shape}")
+    return U
+
+
+def _unitary_operand(U) -> np.ndarray:
+    # _matrix_operand plus the unitarity test: a ValueError unless every matrix
+    # is within UNITARITY_TOL of unitary (a NaN defect compares false)
+    U = _matrix_operand(U)
+    if not np.all(unitarity_defect(U) <= UNITARITY_TOL):
+        raise ValueError("non-unitary operand")
     return U
 
 
@@ -301,8 +302,7 @@ def gate_fidelity(U: Unitary2, V: Unitary2) -> float | np.ndarray:
     target only up to an overall sign. Raises if any matrix of either operand
     is not unitary, NaN entries included.
     """
-    U, V = _matrix_operand(U), _matrix_operand(V)
-    _require_unitary(unitarity_defect(U), unitarity_defect(V))
+    U, V = _unitary_operand(U), _unitary_operand(V)
     trace = (U.conj() * V).sum(axis=(-2, -1))
     # hypot rounds like Python's complex abs, which numpy's abs does not
     fidelity = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)

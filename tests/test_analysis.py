@@ -137,6 +137,8 @@ def test_slope_report_points_lie_on_its_ray(family):
             pair = su2._sequence_pair(seq, t * d_eps, t * d_f)
             want = 1.0 - su2._pair_fidelity(pair, su2._rotation_pair(seq.target, su2.NO_ERROR))
             assert report.infidelities == tuple(want.tolist()), (theta, ray)
+            # and they are infidelity_ray's, the one ray evaluator
+            assert report.infidelities == tuple(infidelity_ray(seq, ray, T_VALUES)), (theta, ray)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

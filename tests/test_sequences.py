@@ -179,6 +179,15 @@ def test_theta_r_unsatisfiable():
         theta_r_from_condition(-2.33)
 
 
+@pytest.mark.parametrize("theta1", [10**400, math.inf, math.nan, "1.0", True],
+                         ids=["huge-int", "inf", "nan", "str", "bool"])
+def test_theta_r_rejects_a_theta1_that_is_not_finite(theta1):
+    # the package's finiteness rule: these raised OverflowError, "math domain
+    # error", "unsatisfiable" and TypeError, and True was taken as 1
+    with pytest.raises(ValueError, match=r"theta1 must be finite, got"):
+        theta_r_from_condition(theta1)
+
+
 # ---------------------------------------------------------------- switchback
 
 

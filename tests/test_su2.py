@@ -288,6 +288,15 @@ def test_gate_fidelity_rejects_non_unitary():
         gate_fidelity(oracles.ID, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
+def test_gate_fidelity_admits_one_operand_at_a_time():
+    # each operand passes the whole check, shape then unitarity, before the
+    # next is looked at: a non-unitary U is named before a 3x3 V
+    with pytest.raises(ValueError, match="non-unitary operand"):
+        gate_fidelity(2.0 * oracles.ID, np.eye(3))
+    with pytest.raises(ValueError, match=r"2x2.*got shape \(3, 3\)"):
+        gate_fidelity(np.eye(3), 2.0 * oracles.ID)
+
+
 def test_gate_fidelity_rejects_one_non_unitary_matrix_in_a_stack():
     stack = rotation_with_error(Pulse(1.0, 0.3), ErrorPair(np.linspace(-0.2, 0.2, 5), 0.1))
     target = rotation(Pulse(1.0, 0.3))
