@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class OreResidualReport:
     alpha_values: tuple[float, ...]
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "s_values": list(self.s_values),
-            "alpha_values": list(self.alpha_values),
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -111,9 +104,6 @@ class AxisSpec:
         # frozen dataclass leaves open)
         return tuple(f"{x:.17g}" for x in self.points().tolist())
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "stop": self.stop, "count": self.count}
-
 
 @dataclass(frozen=True, eq=False)
 class FidelityGrid:
@@ -129,8 +119,8 @@ class FidelityGrid:
         return {
             "family": self.family,
             "target": {"theta": self.target.theta, "phi": self.target.phi},
-            "eps_axis": self.eps_axis.to_dict(),
-            "f_axis": self.f_axis.to_dict(),
+            "eps_axis": asdict(self.eps_axis),
+            "f_axis": asdict(self.f_axis),
             "values": self.values.tolist(),
         }
 
@@ -150,19 +140,21 @@ def infidelity_ray(
     seq: PulseSequence, ray: tuple[float, float], t_values: list[float]
 ) -> list[float]:
     """1 - F between the erroneous sequence and its target at errors
-    t * (d_eps, d_f) for each scale t, with the ray normalized to unit length."""
+    t * (d_eps, d_f) for each scale t, with the ray normalized to unit length;
+    without cancellation, as (Im^2 w_a + |w_b|^2) / (1 + |Re w_a|) for the
+    pair (w_a, w_b) of T^dagger U, since F = |Re w_a| and |w_a|^2 + |w_b|^2 = 1."""
     d_eps, d_f = _unit_ray(ray)
     for t in t_values:
-        try:
-            inside = 0.0 <= t <= 0.5
-        except TypeError:
-            inside = False  # not a number
-        if not inside:
+        if not (_is_finite(t) and 0.0 <= t <= 0.5):
             raise ValueError(f"ray scale {t!r} outside [0, 0.5]")
     # error fields built from checked t need no ErrorPair
     t = np.asarray(t_values, dtype=float)
-    pair = _sequence_pair(seq, t * d_eps, t * d_f)
-    return (1.0 - _pair_fidelity(pair, _rotation_pair(seq.target, NO_ERROR))).tolist()
+    a, b = _sequence_pair(seq, t * d_eps, t * d_f)
+    if not np.isfinite(a).all():  # the overflow guard of su2._pair_fidelity
+        raise ValueError("non-unitary operand")
+    c, d = _rotation_pair(seq.target, NO_ERROR)
+    w_a, w_b = _pair_product((np.conj(c), -d), (a, b))  # (c*, -d) is T^dagger
+    return ((w_a.imag**2 + (w_b.real**2 + w_b.imag**2)) / (1.0 + np.abs(w_a.real))).tolist()
 
 
 def fit_loglog_slope(t_values: list[float], values: list[float]) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from .su2 import (
     Pulse,
     Unitary2,
     _count,
+    _is_finite,
     _pair_product,
     _pulse_pairs,
     _unitary_operand,
@@ -34,22 +35,27 @@ from .su2 import (
 NORM_TOL = 1e-10
 
 
-def _sqrt(value):
-    # a Python float for scalar fields, so messages quoting a norm read as
-    # before; an array over the stack shape for array fields
-    return np.sqrt(value) if isinstance(value, np.ndarray) else math.sqrt(value)
-
-
 @dataclass(frozen=True)
 class BlochVector:
-    """Expectation values (<sx>, <sy>, <sz>) of a pure state; unit norm."""
+    """Expectation values (<sx>, <sy>, <sz>) of a pure state; unit norm. Each
+    field is a finite real number, or all three are float arrays of finite
+    entries (a stack's states, as :func:`apply_to_state` returns them)."""
 
     x: float | np.ndarray
     y: float | np.ndarray
     z: float | np.ndarray
 
+    def __post_init__(self):
+        fields = {"x": self.x, "y": self.y, "z": self.z}
+        arrays = all(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in fields.values())
+        for name, value in fields.items():
+            if not (np.isfinite(value).all() if arrays else _is_finite(value)):
+                raise ValueError(f"Bloch vector {name} must be finite, got {value!r}")
+
     def norm(self) -> float | np.ndarray:
-        return _sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        # a Python float for one state (messages quote it), an array for a stack
+        square = self.x * self.x + self.y * self.y + self.z * self.z
+        return np.sqrt(square) if isinstance(square, np.ndarray) else math.sqrt(square)
 
 
 NORTH_POLE = BlochVector(0.0, 0.0, 1.0)
@@ -96,8 +102,9 @@ class TrajectoryPoint:
 
 
 def _fractions(samples_per_pulse: int) -> list[float]:
-    # the completed shares j/m, j = 1..m, at which every pulse is sampled
-    return [j / samples_per_pulse for j in range(1, samples_per_pulse + 1)]
+    # the completed shares j/m, j = 1..m, at which every pulse is sampled, in
+    # one allocation, which fails at once with a MemoryError if it is too large
+    return (np.arange(1, samples_per_pulse + 1) / samples_per_pulse).tolist()
 
 
 @dataclass(frozen=True, eq=False)

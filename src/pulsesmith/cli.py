@@ -12,10 +12,10 @@ Subcommands:
 ``pulsesmith --version`` prints the package version.
 
 Outputs are deterministic: identical invocations produce identical bytes.
-Non-finite angles, error values and grid bounds, and malformed sequence
-files, are rejected with exit code 2, as is a ``verify`` of a sequence file
-whose family has no entry in ``sequences.FAMILY_SPECS`` (``grid`` and
-``trajectory`` take any family label).
+Non-finite angles, error values and grid bounds, malformed sequence files,
+requests too large to allocate, and a ``verify`` of a sequence file whose
+family has no ``sequences.FAMILY_SPECS`` entry exit with code 2 (``grid``
+and ``trajectory`` take any family label).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -126,8 +127,7 @@ def parse_bloch_vector(text: str) -> BlochVector:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"initial state {text!r} must be x,y,z")
-    x, y, z = (float(p) for p in parts)
-    return BlochVector(x, y, z)
+    return BlochVector(*map(float, parts))
 
 
 def _emit(args: argparse.Namespace, value, to_csv=None, to_dict=None) -> None:
@@ -221,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "family": seq.family,
             "target": {"theta": seq.target.theta, "phi": seq.target.phi},
             "rays": {name: reports[name].to_dict() for name in ray_names},
-            "ore_residual": residual_report.to_dict() if residual_report else None,
+            "ore_residual": asdict(residual_report) if residual_report else None,
             "pass": ok,
         }
         _emit(args, payload)
@@ -341,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

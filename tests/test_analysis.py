@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -114,8 +115,9 @@ def test_infidelity_ray_input_validation():
         infidelity_ray(seq, (1.0, 0.0), [0.6])
     with pytest.raises(ValueError, match="outside"):
         infidelity_ray(seq, (1.0, 0.0), [-0.1])
-    # a scale that is not a number raised TypeError from the comparison
-    for t in ["0.1", None, 1j, [0.1], np.array(["a"])]:
+    # a scale that is not a number raised TypeError from the comparison, and
+    # False and np.False_ passed as the scale 0
+    for t in ["0.1", None, 1j, [0.1], np.array(["a"]), False, np.False_]:
         for call in (infidelity_ray, slope_report):
             with pytest.raises(ValueError, match=r"ray scale .* outside \[0, 0\.5\]"):
                 call(seq, (1.0, 0.0), T_VALUES[:6] + [t] + T_VALUES[6:])
@@ -134,8 +136,10 @@ def test_slope_report_points_lie_on_its_ray(family):
         for ray in rays:
             report = slope_report(seq, ray, T_VALUES)
             d_eps, d_f = report.ray
-            pair = su2._sequence_pair(seq, t * d_eps, t * d_f)
-            want = 1.0 - su2._pair_fidelity(pair, su2._rotation_pair(seq.target, su2.NO_ERROR))
+            a, b = su2._sequence_pair(seq, t * d_eps, t * d_f)
+            c, d = su2._rotation_pair(seq.target, su2.NO_ERROR)
+            w_a, w_b = np.conj(c) * a + np.conj(d) * b, c * b - d * a
+            want = (w_a.imag**2 + (w_b.real**2 + w_b.imag**2)) / (1.0 + np.abs(w_a.real))
             assert report.infidelities == tuple(want.tolist()), (theta, ray)
             # and they are infidelity_ray's, the one ray evaluator
             assert report.infidelities == tuple(infidelity_ray(seq, ray, T_VALUES)), (theta, ray)
@@ -144,7 +148,7 @@ def test_slope_report_points_lie_on_its_ray(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_infidelity_ray_stays_within_1e_15_of_the_50_digit_oracle(family):
     # 4 angles x 3 verify rays x 13 scales per family; the largest
-    # deviation over the four families is 6.7e-16
+    # deviation over the four families is 1.3e-17
     for theta in (0.3, 1.0, PI / 2, PI):
         seq = synthesize(family, theta, 0.3)
         pulses = [(p.theta, p.phi) for p in seq.pulses]
@@ -153,6 +157,29 @@ def test_infidelity_ray_stays_within_1e_15_of_the_50_digit_oracle(family):
             got = infidelity_ray(seq, ray, T_VALUES)
             for t, value in zip(T_VALUES, got):
                 assert abs(value - oracles.mp_ray_infidelity(pulses, target, ray, t)) <= 1e-15, (theta, ray, t)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_infidelity_ray_keeps_its_relative_accuracy_near_fidelity_one(family):
+    # 1 - F without cancellation: what is left is the few-ulp error of the
+    # pair (w_a, w_b) of T^dagger U, so the error goes with |w_b|, about
+    # sqrt(1 - F), instead of the ulp of 1 that 1 - F once lost (SCORBUTUS
+    # at theta = 1, phi = 0.3 on the f ray read 5.029e-14 at t = 1e-3, where
+    # the oracle gives 5.0012e-14). Over 4 families x 7 angles x 2 phases x
+    # 3 rays x these 15 scales the largest |error| / sqrt(1 - F) was 7.9e-16.
+    ts = [1e-5, 1e-4] + T_VALUES
+    for theta in (0.05, 1.0, 3.5):
+        for phi in (0.0, 0.3):
+            try:
+                seq = synthesize(family, theta, phi)
+            except ValueError:
+                continue  # 3.5 is outside SCROFULOUS's and SCORBUTUS's domain
+            pulses = [(p.theta, p.phi) for p in seq.pulses]
+            target = (seq.target.theta, seq.target.phi)
+            for ray in RAYS.values():
+                for t, value in zip(ts, infidelity_ray(seq, ray, ts)):
+                    want = oracles.mp_ray_infidelity(pulses, target, ray, t)
+                    assert abs(value - want) <= 2e-15 * math.sqrt(want), (theta, phi, ray, t, value, want)
 
 
 # ------------------------------------------------------------ slope fitting
@@ -709,7 +736,7 @@ def test_axis_spec_rejects_a_count_that_is_not_an_int(count):
 def test_axis_spec_takes_numpy_integer_counts():
     axis = AxisSpec(0.0, 1.0, np.int64(3))
     assert type(axis.count) is int and axis == AxisSpec(0.0, 1.0, 3)
-    assert axis.to_dict() == {"start": 0.0, "stop": 1.0, "count": 3}
+    assert dataclasses.asdict(axis) == {"start": 0.0, "stop": 1.0, "count": 3}
     assert np.array_equal(axis.points(), [0.0, 0.5, 1.0])
 
 

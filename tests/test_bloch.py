@@ -57,6 +57,36 @@ def test_apply_rejects_off_sphere_state():
         apply_to_state(oracles.ID, BlochVector(0.0, 0.0, 0.5))
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ((True, False, False), "x"),
+        ((1j, 0.0, 1.0), "x"),
+        (("0", "0", "1"), "x"),
+        ((0.0, math.inf, 1.0), "y"),
+        ((0.0, 0.0, np.float64("nan")), "z"),
+        ((np.zeros(2), 0.0, np.ones(2)), "x"),
+        ((np.zeros(2), np.zeros(2), np.array([1.0, np.nan])), "z"),
+        ((np.zeros(2), np.zeros(2), np.ones(2, dtype=int)), "x"),
+    ],
+    ids=["bool", "complex", "str", "inf", "nan", "array-and-float", "nan-entry", "int-array"],
+)
+def test_bloch_vector_rejects_a_field_that_is_not_a_finite_number(fields, name):
+    # the package's finiteness rule, or three float arrays of finite entries;
+    # a bool state was once taken as a number, and a complex or str field
+    # failed later, inside apply_to_state or trajectory, with a TypeError
+    with pytest.raises(ValueError, match=f"Bloch vector {name} must be finite, got"):
+        BlochVector(*fields)
+
+
+def test_bloch_vector_takes_numbers_and_float_arrays():
+    for fields in ((0, 0, 1), (np.float64(0.6), np.int64(0), 0.8), (np.zeros(2), np.zeros(2), np.ones(2))):
+        assert BlochVector(*fields).x is fields[0]
+    # the states of a stack, as apply_to_state returns them
+    out = apply_to_state(np.stack([oracles.ID, oracles.SX]), NORTH_POLE)
+    assert np.array_equal(out.z, [1.0, -1.0])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_apply_to_stack_matches_single_calls_and_quaternion_oracle(family):
     rng = np.random.default_rng(7)
@@ -252,7 +282,7 @@ def test_trajectory_input_validation():
         trajectory(seq, ErrorPair(0.0, 0.0), NORTH_POLE, 0)
     with pytest.raises(ValueError, match="norm"):
         trajectory(seq, ErrorPair(0.0, 0.0), BlochVector(0.0, 0.0, 2.0), 4)
-    with pytest.raises(ValueError, match="norm"):
+    with pytest.raises(ValueError, match="Bloch vector x must be finite"):
         trajectory(seq, ErrorPair(0.0, 0.0), BlochVector(math.nan, 0.0, 1.0), 4)
 
 

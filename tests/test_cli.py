@@ -381,6 +381,24 @@ def test_overflowing_axis_span_is_one_error_line(argv):
     assert _main_quietly(argv) == (2, "", "error: axis span -1e+308:1e+308 overflows\n", [])
 
 
+# 10**17 float64s (711 PiB) exceed any address space, so their allocation
+# fails at once whatever the kernel's overcommit policy
+_TOO_LARGE = str(10**17)
+
+
+@pytest.mark.parametrize("argv", [
+    # numpy's MemoryError ended the run with a traceback and exit 1
+    ["grid", "--eps", f"0:1:{_TOO_LARGE}", "--f", "0:1:3"],
+    # the sample fractions are one numpy allocation, not a Python list grown
+    # until the machine runs out of memory
+    ["trajectory", "--samples", _TOO_LARGE],
+], ids=["grid", "trajectory"])
+def test_a_request_too_large_to_allocate_is_a_usage_error(argv):
+    code, out, err, caught = _main_quietly(argv[:1] + ["--family", "elementary", "--theta", "1"] + argv[1:])
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------- grid
 
 
