@@ -36,10 +36,10 @@ from .su2 import (
 INFIDELITY_FLOOR = 1e-14
 GRID_BLOCK_POINTS = 2048
 """About the error points :func:`fidelity_grid` evaluates per batched call:
-the grid's f rows are split into ceil(points / GRID_BLOCK_POINTS) blocks of
-near-equal size (at most one per row), so that no block is a remainder of a
-few rows that pays a whole call's overhead. Enough to amortise numpy's
-per-call cost, few enough that the intermediate stacks stay small."""
+the f rows it evaluates (half of a mirrored grid's) are split into ceil(points
+/ GRID_BLOCK_POINTS) blocks of near-equal size (at most one per row), so that
+no block is a remainder of a few rows that pays a whole call's overhead. Enough
+to amortise numpy's per-call cost, few enough that the intermediate stacks stay small."""
 
 # Veltkamp split of 1e17 = 2**17 * 5**17 (an exact double) into two halves
 # of at most 26 significant bits, for Dekker's product in _fraction_digits
@@ -268,18 +268,24 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     Whole f rows are evaluated in batched blocks of near-equal size, about
     GRID_BLOCK_POINTS points each, which keeps the intermediate matrix
     stacks small; every point gets the same bits as a row-at-a-time
-    evaluation.
+    evaluation, except that a sequence equal to its reverse, on an f axis
+    with start == -stop, evaluates its first ceil(n/2) f rows and copies row
+    k into row n-1-k: F(eps, -f) = F(eps, f) holds in real arithmetic.
     """
     eps_points = eps_axis.points()
-    f_points = f_axis.points()[:, np.newaxis]
-    block_count = min(f_axis.count, -(-eps_axis.count * f_axis.count // GRID_BLOCK_POINTS))
+    mirrored = seq.pulses == seq.pulses[::-1] and f_axis.start == -f_axis.stop
+    rows = (f_axis.count + 1) // 2 if mirrored else f_axis.count
+    f_points = f_axis.points()[:rows, np.newaxis]
+    block_count = min(rows, -(-eps_axis.count * rows // GRID_BLOCK_POINTS))
     # the axes are checked finite, so their points go to the kernel as they are
     target = _rotation_pair(seq.target, NO_ERROR)
-    blocks = [
+    values = np.concatenate([
         _pair_fidelity(_sequence_pair(seq, eps_points, f_block), target)
         for f_block in np.array_split(f_points, block_count)
-    ]
-    return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, np.concatenate(blocks))
+    ])
+    if mirrored:
+        values = np.concatenate((values, values[: f_axis.count // 2][::-1]))
+    return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, values)
 
 
 def _fraction_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

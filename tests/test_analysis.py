@@ -493,6 +493,27 @@ def test_fidelity_grid_symmetric_in_f_for_elementary():
     assert np.max(np.abs(grid.values - grid.values[::-1, :])) < 1e-12
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_fidelity_of_a_reverse_equal_sequence_is_even_in_f_by_the_50_digit_oracle(length):
+    # what fidelity_grid's mirrored rows rest on: U(eps, -f) = Z U(eps, f)^dagger Z
+    # for a sequence equal to its reverse, and T = Z T^dagger Z for the target
+    rng = np.random.default_rng(length)
+    half = [tuple(p) for p in rng.uniform([0.0, 0.0], [2 * PI, 2 * PI], size=((length + 1) // 2, 2))]
+    pulses = half + half[: length // 2][::-1]
+    assert pulses == pulses[::-1] and len(pulses) == length
+    target = tuple(rng.uniform([0.0, 0.0], [PI, 2 * PI]))
+    for eps, f in rng.uniform(-0.25, 0.25, size=(5, 2)):
+        t = math.hypot(eps, f)
+        value = oracles.mp_ray_infidelity(pulses, target, (eps, f), t)
+        assert oracles.mp_ray_infidelity(pulses, target, (eps, -f), t) == value, (eps, f)
+    # a sequence that is not its own reverse has no such symmetry
+    seq = skinsc(1.0, 0.3)
+    pulses, target = [(p.theta, p.phi) for p in seq.pulses], (seq.target.theta, seq.target.phi)
+    t = math.hypot(0.25, 0.25)
+    above, below = (oracles.mp_ray_infidelity(pulses, target, (0.25, f), t) for f in (0.25, -0.25))
+    assert abs(above - below) > 0.1
+
+
 def test_fidelity_grid_deterministic_across_workers():
     axis = AxisSpec(-0.25, 0.25, 21)
     seq = scorbutus(PI, 0.0)
@@ -510,22 +531,38 @@ def _row_loop_grid(seq, eps_axis, f_axis):
 
 
 @pytest.mark.parametrize(
-    "eps_count, f_count, block_points",
+    "eps_count, f_count, block_points, f_bounds",
     [
-        (3, 37, GRID_BLOCK_POINTS),  # 111 points: one block
-        (101, 37, GRID_BLOCK_POINTS),  # 3737 points: 2 blocks, of 19 and 18 rows
-        (3, 37, 8),  # 111 points: 14 blocks, nine of 3 rows and five of 2
-        (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS),  # above the budget: 4 blocks, capped at one per row
+        (3, 37, GRID_BLOCK_POINTS, (-0.2, 0.25)),  # 111 points: one block
+        (101, 37, GRID_BLOCK_POINTS, (-0.2, 0.25)),  # 3737 points: 2 blocks, of 19 and 18 rows
+        (3, 37, 8, (-0.2, 0.25)),  # 111 points: 14 blocks, nine of 3 rows and five of 2
+        (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS, (-0.2, 0.25)),  # above the budget: 4 blocks, capped at one per row
+        # symmetric f axes, where scorbutus evaluates ceil(n/2) rows and mirrors them
+        (101, 37, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 19 rows evaluated
+        (101, 36, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 18 rows evaluated, no middle row
+        (3, 37, 8, (0.25, -0.25)),  # descending: 19 rows in 8 blocks
+        (5, 2, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 1 row evaluated
     ],
+    ids=["3-37-2048", "101-37-2048", "3-37-8", "2053-3-2048",
+         "101-37-2048-symmetric", "101-36-2048-symmetric", "3-37-8-descending", "5-2-2048-symmetric"],
 )
-def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, block_points, monkeypatch):
+def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, block_points, f_bounds, monkeypatch):
     monkeypatch.setattr(analysis, "GRID_BLOCK_POINTS", block_points)
     eps_axis = AxisSpec(-0.25, 0.2, eps_count)
-    f_axis = AxisSpec(-0.2, 0.25, f_count)
+    f_axis = AxisSpec(*f_bounds, f_count)
     for seq in (scorbutus(1.1, 0.3), skinsc(2.0, 5.0)):
-        grid = fidelity_grid(seq, eps_axis, f_axis)
-        assert grid.values.shape == (f_count, eps_count)
-        assert grid.values.tobytes() == _row_loop_grid(seq, eps_axis, f_axis).tobytes()
+        values = fidelity_grid(seq, eps_axis, f_axis).values
+        assert values.shape == (f_count, eps_count)
+        loop = _row_loop_grid(seq, eps_axis, f_axis)
+        # skinsc is no palindrome, and (-0.2, 0.25) is no symmetric axis
+        mirrored = seq.family == "scorbutus" and f_bounds[0] == -f_bounds[1]
+        evaluated = (f_count + 1) // 2 if mirrored else f_count
+        assert values[:evaluated].tobytes() == loop[:evaluated].tobytes()
+        assert values.tobytes() == (values[::-1] if mirrored else loop).tobytes()
+        # the mirrored rows are copies: writing row k leaves row n-1-k alone
+        tail = values[evaluated:].copy()
+        values[: f_count // 2] = -1.0
+        assert values[evaluated:].tobytes() == tail.tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,7 +4,7 @@
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-The matrix is 243 invocations, 59 for each of the four families and seven
+The matrix is 245 invocations, 59 for each of the four families and nine
 more: every family at seven target angles (pi, pi/2, 1.0, 0.3, 0.05, 3.9,
 6.2) and two phases (0, 1.3), each through ``verify --out``,
 ``synth --dump-matrix`` and ``trajectory --samples 16`` (at eps = 0.1,
@@ -18,7 +18,9 @@ CSV's row-template memo (the last axis pair's) both misses and hits: f axes
 rest leaves out: ``timecompare`` with its defaults, on ``0.1:6.2:9`` (which
 holds domain failures) and as JSON, then for each family at angle 1.0 and
 phase 1.3 a 5x5 ``grid --format json``, a ``trajectory --format json
---samples 4`` and a ``verify --ray f --out``.
+--samples 4`` and a ``verify --ray f --out``. Two SCORBUTUS grids at angle
+pi/2 end it, on f axes whose rows ``fidelity_grid`` mirrors: the descending
+``0.25:-0.25:10``, with no middle row, and ``-0.25:0.25:2``, the shortest.
 
 Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
 stderr and the file written by ``--out``, in that order. Every invocation
@@ -69,6 +71,8 @@ def invocations(families) -> list[list[str]]:
         calls.append(["grid", *target, "--eps", "-0.2:0.2:5", "--f", "-0.2:0.2:5", "--format", "json"])
         calls.append(["trajectory", *target, "--eps", "0.1", "--f", "-0.1", "--samples", "4", "--format", "json"])
         calls.append(["verify", *target, "--ray", "f", "--out", OUT])
+    target = ["--family", "scorbutus", "--theta", "pi/2"]
+    calls += [["grid", *target, "--f=0.25:-0.25:10"], ["grid", *target, "--f=-0.25:0.25:2"]]
     return calls
 
 
