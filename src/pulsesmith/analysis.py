@@ -13,6 +13,7 @@ must reproduce.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -25,10 +26,12 @@ from .su2 import (
     Pulse,
     Unitary2,
     _count,
+    _fold,
     _is_finite,
     _pair_fidelity,
     _pair_matrix,
     _pair_product,
+    _pulse_pairs,
     _rotation_pair,
     _sequence_pair,
 )
@@ -36,10 +39,11 @@ from .su2 import (
 INFIDELITY_FLOOR = 1e-14
 GRID_BLOCK_POINTS = 2048
 """About the error points :func:`fidelity_grid` evaluates per batched call:
-the f rows it evaluates (half of a mirrored grid's) are split into ceil(points
-/ GRID_BLOCK_POINTS) blocks of near-equal size (at most one per row), so that
-no block is a remainder of a few rows that pays a whole call's overhead. Enough
-to amortise numpy's per-call cost, few enough that the intermediate stacks stay small."""
+the f rows it evaluates (half of those of a symmetric f axis) are split into
+ceil(points / GRID_BLOCK_POINTS) blocks of near-equal size (at most one per
+row), so that no block is a remainder of a few rows that pays a whole call's
+overhead. Enough to amortise numpy's per-call cost, few enough that the
+intermediate stacks stay small."""
 
 # Veltkamp split of 1e17 = 2**17 * 5**17 (an exact double) into two halves
 # of at most 26 significant bits, for Dekker's product in _fraction_digits
@@ -107,13 +111,19 @@ class AxisSpec:
 
 @dataclass(frozen=True, eq=False)
 class FidelityGrid:
-    """Gate fidelity over an error grid; rows follow f, columns epsilon."""
+    """Gate fidelity over an error grid; rows follow f, columns epsilon, so
+    ``values`` must have the shape (f_axis.count, eps_axis.count)."""
 
     target: Pulse
     family: str
     eps_axis: AxisSpec
     f_axis: AxisSpec
     values: np.ndarray
+
+    def __post_init__(self):
+        shape, axes = np.shape(self.values), (self.f_axis.count, self.eps_axis.count)
+        if shape != axes:
+            raise ValueError(f"grid values of shape {shape} do not match the axes' (f count, eps count) {axes}")
 
     def to_dict(self) -> dict:
         return {
@@ -267,24 +277,42 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
 
     Whole f rows are evaluated in batched blocks of near-equal size, about
     GRID_BLOCK_POINTS points each, which keeps the intermediate matrix
-    stacks small; every point gets the same bits as a row-at-a-time
-    evaluation, except that a sequence equal to its reverse, on an f axis
-    with start == -stop, evaluates its first ceil(n/2) f rows and copies row
-    k into row n-1-k: F(eps, -f) = F(eps, f) holds in real arithmetic.
+    stacks small; every evaluated point gets the same bits as a
+    row-at-a-time evaluation. On an f axis with start == -stop only the
+    first ceil(n/2) f rows are evaluated, and row n-1-k is filled from row
+    k by an identity of real arithmetic, so a filled row may differ from an
+    evaluated one by ulps. A sequence S equal to its reverse has
+    F_S(eps, -f) = F_S(eps, f): row k is copied. Any other S has
+    F_S(eps, -f) = F_S'(eps, f), where S' is S with each phase phi
+    reflected to 2 phi_T - phi (the pi rotation about the target axis maps
+    the one onto the other and keeps the target): each block is folded once
+    more from the same pulse pairs, each b turned by e^{2i(phi_T - phi)} (a
+    does not change), and row k of S' fills row n-1-k.
     """
+    n = f_axis.count
     eps_points = eps_axis.points()
-    mirrored = seq.pulses == seq.pulses[::-1] and f_axis.start == -f_axis.stop
-    rows = (f_axis.count + 1) // 2 if mirrored else f_axis.count
+    symmetric = f_axis.start == -f_axis.stop
+    mirrored = symmetric and seq.pulses == seq.pulses[::-1]
+    rows = (n + 1) // 2 if symmetric else n
     f_points = f_axis.points()[:rows, np.newaxis]
     block_count = min(rows, -(-eps_axis.count * rows // GRID_BLOCK_POINTS))
     # the axes are checked finite, so their points go to the kernel as they are
     target = _rotation_pair(seq.target, NO_ERROR)
-    values = np.concatenate([
-        _pair_fidelity(_sequence_pair(seq, eps_points, f_block), target)
-        for f_block in np.array_split(f_points, block_count)
-    ])
-    if mirrored:
-        values = np.concatenate((values, values[: f_axis.count // 2][::-1]))
+    direct, reflected = [], []
+    for f_block in np.array_split(f_points, block_count):
+        (a, b), order = _pulse_pairs(seq.pulses, eps_points, f_block)
+        direct.append(_pair_fidelity(_fold((a, b), order), target))
+        if symmetric and not mirrored:
+            turn = np.empty(len(b), dtype=complex)
+            turn[order] = [cmath.exp(2j * (seq.target.phi - p.phi)) for p in seq.pulses]
+            b *= turn[:, np.newaxis, np.newaxis]  # in place: no second stack of its size
+            reflected.append(_pair_fidelity(_fold((a, b), order), target))
+    values = np.concatenate(direct)
+    if symmetric:
+        # row n-1-k is row k of S' (of S itself, if it equals its reverse);
+        # the middle row of an odd axis is S's own
+        source = values if mirrored else np.concatenate(reflected)
+        values = np.concatenate((values, source[: n // 2][::-1]))
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, values)
 
 

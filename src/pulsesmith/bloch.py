@@ -70,6 +70,7 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     the pair (a, b) up to a sign, which the turn does not see. Raises if any
     matrix of U is not unitary, NaN entries included, like gate_fidelity.
     """
+    _require_one_state(r, "r")
     if not abs(r.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
     U = _unitary_operand(np.asarray(U, dtype=complex))
@@ -78,6 +79,13 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     if x.ndim == 0:
         return BlochVector(float(x), float(y), float(z))
     return BlochVector(x, y, z)
+
+
+def _require_one_state(r: BlochVector, name: str) -> None:
+    # the state arguments take one state: a stack's (array fields, as
+    # apply_to_state returns them) is a ValueError naming the argument
+    if isinstance(r.x, np.ndarray):
+        raise ValueError(f"{name} must be one Bloch vector, got a stack of shape {r.x.shape}")
 
 
 def _turn(pair, r: BlochVector):
@@ -165,6 +173,7 @@ def trajectory(
         shape = getattr(getattr(err, name), "shape", ())
         if shape:
             raise ValueError(f"trajectory needs a scalar err.{name}, got an array of shape {shape}")
+    _require_one_state(initial, "initial")
     if not abs(initial.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
     (a, b), rows = _pulse_pairs(seq.pulses, err.epsilon, err.f, np.array(_fractions(samples_per_pulse)))

@@ -204,17 +204,22 @@ def _pulse_pairs(pulses, eps, f, fractions=None):
     return pairs, rows
 
 
-def _sequence_pair(seq, eps, f):
-    # pair of the whole sequence, every pulse deformed by the error fields
-    # eps and f; the product runs in application order, later pulses on the
-    # left
-    if not seq.pulses:
+def _fold(pairs, rows):
+    # pair of the product of the stack rows of _pulse_pairs in application
+    # order, later pulses on the left
+    if not rows:
         raise ValueError("empty sequence")
-    (a, b), rows = _pulse_pairs(seq.pulses, eps, f)
+    a, b = pairs
     acc = a[rows[0]], b[rows[0]]
     for r in rows[1:]:
         acc = _pair_product((a[r], b[r]), acc)
     return acc
+
+
+def _sequence_pair(seq, eps, f):
+    # pair of the whole sequence, every pulse deformed by the error fields
+    # eps and f
+    return _fold(*_pulse_pairs(seq.pulses, eps, f))
 
 
 def _matrix_operand(U) -> np.ndarray:

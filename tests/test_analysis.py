@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -514,6 +516,37 @@ def test_fidelity_of_a_reverse_equal_sequence_is_even_in_f_by_the_50_digit_oracl
     assert abs(above - below) > 0.1
 
 
+def _phase_reflection(pulses, target):
+    # the pulses with each phase reflected about the target's, 2 phi_T - phi,
+    # exactly: the 50-digit oracle takes them as mpmath numbers
+    with mpmath.workdps(50):
+        return [(theta, 2 * mpmath.mpf(target[1]) - phi) for theta, phi in pulses]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_fidelity_of_a_sequence_is_that_of_its_phase_reflection_at_minus_f_by_the_50_digit_oracle(length):
+    # what fidelity_grid's reflected rows rest on: the pi rotation about the
+    # target axis maps (theta)_phi at (eps, f) to (theta)_{2 phi_T - phi} at
+    # (eps, -f) and leaves the target fixed, so F_S(eps, f) = F_S'(eps, -f)
+    rng = np.random.default_rng(100 + length)
+    pulses = [tuple(p) for p in rng.uniform([0.0, 0.0], [2 * PI, 2 * PI], size=(length, 2))]
+    # one pulse is its own reverse; longer random lists are not
+    assert length == 1 or pulses != pulses[::-1]
+    target = tuple(rng.uniform([0.0, 0.0], [PI, 2 * PI]))
+    reflected = _phase_reflection(pulses, target)
+    for eps, f in rng.uniform(-0.25, 0.25, size=(5, 2)):
+        t = math.hypot(eps, f)
+        value = oracles.mp_ray_infidelity(pulses, target, (eps, f), t)
+        assert oracles.mp_ray_infidelity(reflected, target, (eps, -f), t) == value, (eps, f)
+    # skinsc at (0.25, 0.25), whose value at (0.25, -0.25) differs by more
+    # than 0.1 (the reverse-equal test above), is its reflection's there
+    seq = skinsc(1.0, 0.3)
+    pulses, target = [(p.theta, p.phi) for p in seq.pulses], (seq.target.theta, seq.target.phi)
+    t = math.hypot(0.25, 0.25)
+    above = oracles.mp_ray_infidelity(pulses, target, (0.25, 0.25), t)
+    assert oracles.mp_ray_infidelity(_phase_reflection(pulses, target), target, (0.25, -0.25), t) == above
+
+
 def test_fidelity_grid_deterministic_across_workers():
     axis = AxisSpec(-0.25, 0.25, 21)
     seq = scorbutus(PI, 0.0)
@@ -537,7 +570,8 @@ def _row_loop_grid(seq, eps_axis, f_axis):
         (101, 37, GRID_BLOCK_POINTS, (-0.2, 0.25)),  # 3737 points: 2 blocks, of 19 and 18 rows
         (3, 37, 8, (-0.2, 0.25)),  # 111 points: 14 blocks, nine of 3 rows and five of 2
         (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS, (-0.2, 0.25)),  # above the budget: 4 blocks, capped at one per row
-        # symmetric f axes, where scorbutus evaluates ceil(n/2) rows and mirrors them
+        # symmetric f axes, where both evaluate ceil(n/2) rows: scorbutus
+        # mirrors them, skinsc fills the rest from its phase reflection
         (101, 37, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 19 rows evaluated
         (101, 36, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 18 rows evaluated, no middle row
         (3, 37, 8, (0.25, -0.25)),  # descending: 19 rows in 8 blocks
@@ -550,19 +584,47 @@ def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, b
     monkeypatch.setattr(analysis, "GRID_BLOCK_POINTS", block_points)
     eps_axis = AxisSpec(-0.25, 0.2, eps_count)
     f_axis = AxisSpec(*f_bounds, f_count)
+    symmetric = f_bounds[0] == -f_bounds[1]
+    evaluated = (f_count + 1) // 2 if symmetric else f_count
     for seq in (scorbutus(1.1, 0.3), skinsc(2.0, 5.0)):
         values = fidelity_grid(seq, eps_axis, f_axis).values
         assert values.shape == (f_count, eps_count)
         loop = _row_loop_grid(seq, eps_axis, f_axis)
-        # skinsc is no palindrome, and (-0.2, 0.25) is no symmetric axis
-        mirrored = seq.family == "scorbutus" and f_bounds[0] == -f_bounds[1]
-        evaluated = (f_count + 1) // 2 if mirrored else f_count
         assert values[:evaluated].tobytes() == loop[:evaluated].tobytes()
-        assert values.tobytes() == (values[::-1] if mirrored else loop).tobytes()
-        # the mirrored rows are copies: writing row k leaves row n-1-k alone
+        if symmetric and seq.family == "scorbutus":
+            # a palindrome's filled rows are copies of the evaluated ones
+            assert values.tobytes() == values[::-1].tobytes()
+        else:
+            # skinsc's reflected rows come from a second fold of the same
+            # pulse pairs: they read at most 5 units of 2**-53 off the row loop
+            assert np.max(np.abs(values - loop)) <= 8 * 2.0**-53
+        # the filled rows are no views: writing row k leaves row n-1-k alone
         tail = values[evaluated:].copy()
         values[: f_count // 2] = -1.0
         assert values[evaluated:].tobytes() == tail.tobytes()
+
+
+def test_a_skinsc_grid_on_a_symmetric_f_axis_evaluates_half_its_rows(monkeypatch):
+    # every pulse-pair stack is built by su2._axis_pair from an array of
+    # angles (the target's pair from a float one); count its error points
+    points = []
+    axis_pair = su2._axis_pair
+
+    def counting(theta, cos_phi, sin_phi, eps, f, angle_rows=None):
+        if np.ndim(theta):
+            points.append(np.broadcast(eps, f).size)
+        return axis_pair(theta, cos_phi, sin_phi, eps, f, angle_rows)
+
+    monkeypatch.setattr(su2, "_axis_pair", counting)
+    eps_axis = AxisSpec(-0.25, 0.25, 101)
+    for f_count, rows in ((101, 51), (100, 50), (2, 1)):
+        points.clear()
+        fidelity_grid(skinsc(1.0, 0.3), eps_axis, AxisSpec(-0.25, 0.25, f_count))
+        assert sum(points) == rows * 101, f_count
+    # an asymmetric axis evaluates every row
+    points.clear()
+    fidelity_grid(skinsc(1.0, 0.3), eps_axis, AxisSpec(-0.25, 0.2, 101))
+    assert sum(points) == 101 * 101
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -822,6 +884,22 @@ def test_grid_csv_shape_and_round_trip():
     eps, f, fid = lines[1].split(",")
     assert float(eps) == -0.1 and float(f) == -0.1
     assert float(fid) == grid.values[0, 0]
+
+
+@pytest.mark.parametrize("shape, eps_count, f_count", [
+    ((2, 3), 3, 3),  # too few rows: the CSV wrote 6 of 9 lines
+    ((3, 3), 3, 2),  # a row too many: the CSV dropped the last
+    ((3, 3), 2, 3),  # a column too many: the CSV leaked a TypeError
+    ((3, 2), 3, 2),  # the axes' shape transposed
+    ((6,), 3, 2),  # the right number of values, flat
+])
+def test_fidelity_grid_values_must_have_the_axes_shape(shape, eps_count, f_count):
+    eps_axis, f_axis = AxisSpec(-0.1, 0.1, eps_count), AxisSpec(-0.2, 0.2, f_count)
+    values = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}") + ".*" + re.escape(f"{(f_count, eps_count)}")):
+        FidelityGrid(Pulse(PI, 0.0), "custom", eps_axis, f_axis, values)
+    grid = FidelityGrid(Pulse(PI, 0.0), "custom", eps_axis, f_axis, np.full((f_count, eps_count), 0.5))
+    assert len(grid_to_csv(grid).splitlines()) == 1 + f_count * eps_count
 
 
 # ---------------------------------------------------------------- times

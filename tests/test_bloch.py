@@ -338,6 +338,22 @@ def test_trajectory_rejects_array_errors(field, length):
         trajectory(scorbutus(PI, 0.0), ErrorPair(**values), NORTH_POLE, 2)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_stack_of_states_is_rejected_where_one_state_is_taken(count):
+    # apply_to_state returns a stack's states as array fields; two of them
+    # raised numpy's "truth value of an array ... is ambiguous", and one was
+    # taken by trajectory, whose CSV then wrote the row 0,0.0,[0.0],[0.0],[1.0]
+    U = compose_with_errors(scorbutus(PI, 0.0), ErrorPair(np.linspace(0.0, 0.1, count), 0.0))
+    states = apply_to_state(U, NORTH_POLE)
+    assert isinstance(states.x, np.ndarray) and states.x.shape == (count,)
+    stack = rf"must be one Bloch vector, got a stack of shape \({count},\)"
+    with pytest.raises(ValueError, match="initial " + stack):
+        trajectory(scorbutus(PI, 0.0), ErrorPair(0.0, 0.0), states, 2)
+    for matrix in (rotation(Pulse(PI, 0.0)), U):
+        with pytest.raises(ValueError, match="r " + stack):
+            apply_to_state(matrix, states)
+
+
 # ------------------------------------------- trajectory against the old loop
 
 

@@ -110,6 +110,26 @@ def test_landscape_check_catches_a_broken_csv_writer(perfbench, breakage):
     assert w.check(inp, (seq, grid, "".join(lines))) is not None
 
 
+def test_landscape_check_catches_a_grid_mirrored_without_its_symmetry(perfbench):
+    # input 3 is a skinsc grid, no palindrome: its upper f rows replaced by
+    # the lower rows in reverse, the copy that is right for a sequence equal
+    # to its reverse only, fail the 32-point reference check
+    from pulsesmith.analysis import grid_to_csv
+
+    _, workloads = perfbench
+    w = workloads.Landscape(seed=1)
+    inp = w.make_input(3)
+    assert inp["family"] == "skinsc"
+    seq, grid, csv = w.run(inp)
+    assert w.check(inp, (seq, grid, csv)) is None
+    n = grid.f_axis.count
+    values = grid.values.copy()
+    values[(n + 1) // 2:] = values[: n // 2][::-1]
+    broken = dataclasses.replace(grid, values=values)
+    problem = w.check(inp, (seq, broken, grid_to_csv(broken)))
+    assert problem is not None and problem.startswith("fidelity at"), problem
+
+
 def _survey_op_with_a_tilted_end(perfbench):
     # an op whose final state is well off the z axis, so that a turn about
     # z moves it

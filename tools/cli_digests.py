@@ -4,7 +4,7 @@
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-The matrix is 245 invocations, 59 for each of the four families and nine
+The matrix is 247 invocations, 59 for each of the four families and eleven
 more: every family at seven target angles (pi, pi/2, 1.0, 0.3, 0.05, 3.9,
 6.2) and two phases (0, 1.3), each through ``verify --out``,
 ``synth --dump-matrix`` and ``trajectory --samples 16`` (at eps = 0.1,
@@ -19,8 +19,14 @@ rest leaves out: ``timecompare`` with its defaults, on ``0.1:6.2:9`` (which
 holds domain failures) and as JSON, then for each family at angle 1.0 and
 phase 1.3 a 5x5 ``grid --format json``, a ``trajectory --format json
 --samples 4`` and a ``verify --ray f --out``. Two SCORBUTUS grids at angle
-pi/2 end it, on f axes whose rows ``fidelity_grid`` mirrors: the descending
+pi/2 follow, on f axes whose rows ``fidelity_grid`` mirrors: the descending
 ``0.25:-0.25:10``, with no middle row, and ``-0.25:0.25:2``, the shortest.
+Two grids of a fixed three-pulse ``--sequence-file`` close the matrix: the
+sequence is not its own reverse, and its phases reflected about the
+target's are not its own phases, so on the default (symmetric) axes
+``fidelity_grid`` fills half the rows from that reflection, and on the f
+axis ``-0.2:0.25:19`` it evaluates every row. The tool writes the file into
+its temporary directory.
 
 Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
 stderr and the file written by ``--out``, in that order. Every invocation
@@ -46,6 +52,12 @@ from pathlib import Path
 THETAS = ("pi", "pi/2", "1.0", "0.3", "0.05", "3.9", "6.2")
 PHIS = ("0", "1.3")
 OUT = "out.dat"
+SEQUENCE = "sequence.json"
+SEQUENCE_DATA = {
+    "family": "custom",
+    "target": {"theta": 1.0, "phi": 0.3},
+    "pulses": [{"theta": 0.7, "phi": 1.1}, {"theta": 3.1, "phi": 2.5}, {"theta": 1.9, "phi": 0.3}],
+}
 
 
 def invocations(families) -> list[list[str]]:
@@ -73,6 +85,7 @@ def invocations(families) -> list[list[str]]:
         calls.append(["verify", *target, "--ray", "f", "--out", OUT])
     target = ["--family", "scorbutus", "--theta", "pi/2"]
     calls += [["grid", *target, "--f=0.25:-0.25:10"], ["grid", *target, "--f=-0.25:0.25:2"]]
+    calls += [["grid", "--sequence-file", SEQUENCE], ["grid", "--sequence-file", SEQUENCE, "--f=-0.2:0.25:19"]]
     return calls
 
 
@@ -100,6 +113,7 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
+        Path(SEQUENCE).write_text(json.dumps(SEQUENCE_DATA), encoding="utf-8")
         try:
             for argv in invocations(FAMILIES):
                 print(" ".join(argv), digest(cli.main, argv), sep="\t")
