@@ -13,7 +13,6 @@ must reproduce.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -280,38 +279,31 @@ def fidelity_grid(seq: PulseSequence, eps_axis: AxisSpec, f_axis: AxisSpec) -> F
     stacks small; every evaluated point gets the same bits as a
     row-at-a-time evaluation. On an f axis with start == -stop only the
     first ceil(n/2) f rows are evaluated, and row n-1-k is filled from row
-    k by an identity of real arithmetic, so a filled row may differ from an
-    evaluated one by ulps. A sequence S equal to its reverse has
-    F_S(eps, -f) = F_S(eps, f): row k is copied. Any other S has
-    F_S(eps, -f) = F_S'(eps, f), where S' is S with each phase phi
-    reflected to 2 phi_T - phi (the pi rotation about the target axis maps
-    the one onto the other and keeps the target): each block is folded once
-    more from the same pulse pairs, each b turned by e^{2i(phi_T - phi)} (a
-    does not change), and row k of S' fills row n-1-k.
+    k of the reversed sequence by F_S(eps, -f) = F_{rev S}(eps, f), exact in
+    real arithmetic: each block's pulse pairs are folded once more in
+    reverse order, or, for a sequence equal to its reverse, row k is copied.
+    A filled row may differ from a direct evaluation of its own f by ulps.
     """
     n = f_axis.count
     eps_points = eps_axis.points()
     symmetric = f_axis.start == -f_axis.stop
-    mirrored = symmetric and seq.pulses == seq.pulses[::-1]
+    reverse_equal = seq.pulses == seq.pulses[::-1]
     rows = (n + 1) // 2 if symmetric else n
     f_points = f_axis.points()[:rows, np.newaxis]
     block_count = min(rows, -(-eps_axis.count * rows // GRID_BLOCK_POINTS))
     # the axes are checked finite, so their points go to the kernel as they are
     target = _rotation_pair(seq.target, NO_ERROR)
-    direct, reflected = [], []
+    direct, reverse = [], []
     for f_block in np.array_split(f_points, block_count):
-        (a, b), order = _pulse_pairs(seq.pulses, eps_points, f_block)
-        direct.append(_pair_fidelity(_fold((a, b), order), target))
-        if symmetric and not mirrored:
-            turn = np.empty(len(b), dtype=complex)
-            turn[order] = [cmath.exp(2j * (seq.target.phi - p.phi)) for p in seq.pulses]
-            b *= turn[:, np.newaxis, np.newaxis]  # in place: no second stack of its size
-            reflected.append(_pair_fidelity(_fold((a, b), order), target))
+        pairs, order = _pulse_pairs(seq.pulses, eps_points, f_block)
+        direct.append(_pair_fidelity(_fold(pairs, order), target))
+        if symmetric and not reverse_equal:
+            reverse.append(_pair_fidelity(_fold(pairs, order[::-1]), target))
     values = np.concatenate(direct)
     if symmetric:
-        # row n-1-k is row k of S' (of S itself, if it equals its reverse);
-        # the middle row of an odd axis is S's own
-        source = values if mirrored else np.concatenate(reflected)
+        # row n-1-k is row k of the reversed sequence; the middle row of an
+        # odd axis is S's own
+        source = values if reverse_equal else np.concatenate(reverse)
         values = np.concatenate((values, source[: n // 2][::-1]))
     return FidelityGrid(seq.target, seq.family, eps_axis, f_axis, values)
 
@@ -428,7 +420,7 @@ def time_compare(theta_values: list[float]) -> list[TimeComparisonRow]:
                 times[family] = total_time(synthesize(family, theta, 0.0))
             except ValueError as exc:
                 times[family] = None
-                notes.append(f"{family}: {exc}")
+                notes.append(str(exc))  # synthesize names the family
         rows.append(TimeComparisonRow(theta, times, "; ".join(notes)))
     return rows
 

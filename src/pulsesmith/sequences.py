@@ -75,9 +75,9 @@ class PulseSequence:
     family: str
 
 
-def _require_target_angle(family: str, theta: float) -> None:
+def _require_target_angle(theta: float) -> None:
     if not 0.0 < theta < TWO_PI:
-        raise ValueError(f"{family}: target angle {theta!r} outside (0, 2*pi)")
+        raise ValueError(f"target angle {theta!r} outside (0, 2*pi)")
 
 
 def elementary(theta: float, phi: float) -> PulseSequence:
@@ -88,7 +88,7 @@ def elementary(theta: float, phi: float) -> PulseSequence:
 
 def _scrofulous_acos(x: float, phase: str) -> float:
     if not -1.0 <= x <= 1.0:
-        raise ValueError(f"scrofulous: arccos argument {x!r} for {phase} outside [-1, 1]")
+        raise ValueError(f"arccos argument {x!r} for {phase} outside [-1, 1]")
     return math.acos(x)
 
 
@@ -99,7 +99,7 @@ def scrofulous(theta: float, phi: float) -> PulseSequence:
     phi1 = phi3 = phi + arccos(-pi cos(theta1) / (2 theta1 sin(theta/2))),
     phi2 = phi1 - arccos(-pi / (2 theta1)).
     """
-    _require_target_angle("scrofulous", theta)
+    _require_target_angle(theta)
     theta1 = arcsinc(2.0 * math.cos(0.5 * theta) / math.pi)
     s = math.sin(0.5 * theta)
     # a target angle of a few subnormals has s == 0: the argument diverges
@@ -160,7 +160,7 @@ def skinsc(theta: float, phi: float) -> PulseSequence:
     theta2 = 2 pi - theta/2 - arcsin(sin(theta/2)/2), theta3 = theta4 = 2 pi,
     phases phi, phi+pi, phi+pi-+arccos(-(2 pi - theta)/(4 pi)), phi+pi, phi.
     """
-    _require_target_angle("skinsc", theta)
+    _require_target_angle(theta)
     a = math.asin(0.5 * math.sin(0.5 * theta))
     theta1 = 0.5 * theta - a
     theta2 = TWO_PI - 0.5 * theta - a
@@ -214,8 +214,13 @@ def family_spec(family: str) -> FamilySpec:
 
 
 def synthesize(family: str, theta: float, phi: float) -> PulseSequence:
-    """Build a sequence by family name."""
-    return family_spec(family).generator(theta, phi)
+    """Build a sequence by family name; a ValueError of the generator, such
+    as an angle outside the family's domain, is raised with the name."""
+    generator = family_spec(family).generator
+    try:
+        return generator(theta, phi)
+    except ValueError as exc:
+        raise ValueError(f"{family}: {exc}") from exc
 
 
 def total_time(seq: PulseSequence) -> float:

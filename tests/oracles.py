@@ -86,8 +86,15 @@ def quat_fidelity(q, target):
 def mp_ray_infidelity(pulses, target, ray, t, digits=50):
     """1 - |tr(T^dagger U)| / 2 for the (theta, phi) pulses in application
     order against the (theta, phi) target, every pulse deformed by the
-    errors t * ray / |ray|: quaternion products of mpmath numbers at
-    ``digits`` significant digits, rounded to a float once at the end."""
+    errors t * ray / |ray|: :func:`mp_ray_overlap`, rounded to a float once
+    at the end."""
+    with mpmath.workdps(digits):
+        return float(1 - min(1, mp_ray_overlap(pulses, target, ray, t, digits)))
+
+
+def mp_ray_overlap(pulses, target, ray, t, digits=50):
+    """|tr(T^dagger U)| / 2 as in :func:`mp_ray_infidelity`, as an mpmath
+    number: quaternion products at ``digits`` significant digits."""
     with mpmath.workdps(digits):
         d_eps, d_f = (mpmath.mpf(c) for c in ray)
         nrm = mpmath.hypot(d_eps, d_f)
@@ -104,8 +111,7 @@ def mp_ray_infidelity(pulses, target, ray, t, digits=50):
         for theta, phi in pulses:
             q = quat_multiply(quat(theta, phi, eps, f), q)
         (a, b), (ta, tb) = q, quat(*target, 0, 0)
-        overlap = abs(a * ta + b[0] * tb[0] + b[1] * tb[1] + b[2] * tb[2])
-        return float(1 - min(1, overlap))
+        return abs(a * ta + b[0] * tb[0] + b[1] * tb[1] + b[2] * tb[2])
 
 
 def quat_to_matrix(q):

@@ -497,18 +497,28 @@ def test_fidelity_grid_symmetric_in_f_for_elementary():
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
 def test_fidelity_of_a_reverse_equal_sequence_is_even_in_f_by_the_50_digit_oracle(length):
-    # what fidelity_grid's mirrored rows rest on: U(eps, -f) = Z U(eps, f)^dagger Z
-    # for a sequence equal to its reverse, and T = Z T^dagger Z for the target
+    # what fidelity_grid's filled rows rest on: F_S(eps, -f) = F_{rev S}(eps, f),
+    # since U_S(eps, f)^dagger = Z U_{rev S}(eps, -f) Z and T = Z T^dagger Z;
+    # a sequence equal to its reverse is the case rev S = S, even in f. The
+    # two sides take different operation orders, so they agree to the
+    # oracle's 50 digits, not bit for bit
     rng = np.random.default_rng(length)
     half = [tuple(p) for p in rng.uniform([0.0, 0.0], [2 * PI, 2 * PI], size=((length + 1) // 2, 2))]
-    pulses = half + half[: length // 2][::-1]
-    assert pulses == pulses[::-1] and len(pulses) == length
+    palindrome = half + half[: length // 2][::-1]
+    assert palindrome == palindrome[::-1] and len(palindrome) == length
     target = tuple(rng.uniform([0.0, 0.0], [PI, 2 * PI]))
-    for eps, f in rng.uniform(-0.25, 0.25, size=(5, 2)):
-        t = math.hypot(eps, f)
-        value = oracles.mp_ray_infidelity(pulses, target, (eps, f), t)
-        assert oracles.mp_ray_infidelity(pulses, target, (eps, -f), t) == value, (eps, f)
-    # a sequence that is not its own reverse has no such symmetry
+    points = rng.uniform(-0.25, 0.25, size=(5, 2))
+    pulses = [tuple(p) for p in rng.uniform([0.0, 0.0], [2 * PI, 2 * PI], size=(length, 2))]
+    # one pulse is its own reverse; longer random lists are not
+    assert length == 1 or pulses != pulses[::-1]
+    for sequence in (palindrome, pulses):
+        for eps, f in points:
+            t = math.hypot(eps, f)
+            below = oracles.mp_ray_overlap(sequence, target, (eps, -f), t)
+            above = oracles.mp_ray_overlap(sequence[::-1], target, (eps, f), t)
+            with mpmath.workdps(50):
+                assert abs(below - above) <= 1e-40, (sequence, eps, f)
+    # a sequence that is not its own reverse is not even in f
     seq = skinsc(1.0, 0.3)
     pulses, target = [(p.theta, p.phi) for p in seq.pulses], (seq.target.theta, seq.target.phi)
     t = math.hypot(0.25, 0.25)
@@ -525,7 +535,7 @@ def _phase_reflection(pulses, target):
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
 def test_fidelity_of_a_sequence_is_that_of_its_phase_reflection_at_minus_f_by_the_50_digit_oracle(length):
-    # what fidelity_grid's reflected rows rest on: the pi rotation about the
+    # a second exact symmetry in f, besides the reversal: the pi rotation about the
     # target axis maps (theta)_phi at (eps, f) to (theta)_{2 phi_T - phi} at
     # (eps, -f) and leaves the target fixed, so F_S(eps, f) = F_S'(eps, -f)
     rng = np.random.default_rng(100 + length)
@@ -571,7 +581,7 @@ def _row_loop_grid(seq, eps_axis, f_axis):
         (3, 37, 8, (-0.2, 0.25)),  # 111 points: 14 blocks, nine of 3 rows and five of 2
         (GRID_BLOCK_POINTS + 5, 3, GRID_BLOCK_POINTS, (-0.2, 0.25)),  # above the budget: 4 blocks, capped at one per row
         # symmetric f axes, where both evaluate ceil(n/2) rows: scorbutus
-        # mirrors them, skinsc fills the rest from its phase reflection
+        # mirrors them, skinsc fills the rest from its reversed fold
         (101, 37, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 19 rows evaluated
         (101, 36, GRID_BLOCK_POINTS, (-0.25, 0.25)),  # 18 rows evaluated, no middle row
         (3, 37, 8, (0.25, -0.25)),  # descending: 19 rows in 8 blocks
@@ -595,13 +605,43 @@ def test_fidelity_grid_blocks_match_a_row_loop_bit_for_bit(eps_count, f_count, b
             # a palindrome's filled rows are copies of the evaluated ones
             assert values.tobytes() == values[::-1].tobytes()
         else:
-            # skinsc's reflected rows come from a second fold of the same
-            # pulse pairs: they read at most 5 units of 2**-53 off the row loop
+            # skinsc's filled rows come from a reversed fold of the same
+            # pulse pairs: they read at most 6 units of 2**-53 off the row loop
             assert np.max(np.abs(values - loop)) <= 8 * 2.0**-53
         # the filled rows are no views: writing row k leaves row n-1-k alone
         tail = values[evaluated:].copy()
         values[: f_count // 2] = -1.0
         assert values[evaluated:].tobytes() == tail.tobytes()
+
+
+def _grid_sequences():
+    # every family at one target, and custom sequences of 2 to 6 pulses,
+    # none of them its own reverse
+    rng = np.random.default_rng(30)
+    seqs = [synthesize(family, 1.0, 0.3) for family in FAMILIES]
+    for length in range(2, 7):
+        pulses = tuple(Pulse(*p) for p in rng.uniform([0.0, 0.0], [2 * PI, 2 * PI], size=(length, 2)))
+        assert pulses != pulses[::-1]
+        seqs.append(PulseSequence(pulses, Pulse(*rng.uniform([0.0, 0.0], [PI, 2 * PI])), "custom"))
+    return seqs
+
+
+@pytest.mark.parametrize(
+    "f_bounds, f_count",
+    [((-0.25, 0.25), 101), ((-0.25, 0.25), 100), ((0.25, -0.25), 10), ((-0.25, 0.25), 2)],
+    ids=["default", "even", "descending", "two"],
+)
+def test_the_filled_rows_of_a_grid_are_the_evaluated_rows_of_its_reversed_sequence(f_bounds, f_count):
+    # on a symmetric f axis row n-1-k of S's grid is row k of rev S's, bit
+    # for bit: the same pulse pairs folded in the reverse order (S itself,
+    # where S equals its reverse)
+    eps_axis, f_axis = AxisSpec(-0.25, 0.25, 101), AxisSpec(*f_bounds, f_count)
+    evaluated = (f_count + 1) // 2
+    for seq in _grid_sequences():
+        values = fidelity_grid(seq, eps_axis, f_axis).values
+        reverse = PulseSequence(seq.pulses[::-1], seq.target, seq.family)
+        evaluated_reverse = fidelity_grid(reverse, eps_axis, f_axis).values[: f_count // 2]
+        assert values[evaluated:].tobytes() == evaluated_reverse[::-1].tobytes(), seq
 
 
 def test_a_skinsc_grid_on_a_symmetric_f_axis_evaluates_half_its_rows(monkeypatch):

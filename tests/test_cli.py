@@ -119,6 +119,27 @@ def test_synth_out_of_domain_exit_code(capsys):
     assert "arcsinc argument out of branch range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "theta, reason",
+    [("7", "target angle 7.0 outside (0, 2*pi)"), ("3.9", "arcsinc argument out of branch range")],
+    ids=["outside", "branch"],
+)
+def test_a_domain_error_names_the_requested_family_once(theta, reason):
+    # scorbutus builds on scrofulous, whose generator names no family
+    code, out, err, caught = _main_quietly(["synth", "--family", "scorbutus", "--theta", theta])
+    assert (code, out, err, caught) == (2, "", f"error: scorbutus: {reason}\n", [])
+
+
+def test_timecompare_notes_name_each_family_once():
+    code, out, err, _ = _main_quietly(["timecompare", "--thetas", "0:1e-320:2"])
+    assert (code, err) == (0, "")
+    header, zero, tiny = out.splitlines()
+    domain = "target angle 0.0 outside (0, 2*pi)"
+    assert zero == f'0.0,nan,nan,"scorbutus: {domain}; skinsc: {domain}"'
+    assert tiny.startswith("1e-320,nan,") and tiny.count("scorbutus") == 1 and "skinsc" not in tiny
+    assert '"scorbutus: arccos argument' in tiny
+
+
 def test_synth_subnormal_angle_is_a_usage_error(capsys):
     assert main(["synth", "--family", "scrofulous", "--theta", "5e-324"]) == 2
     captured = capsys.readouterr()

@@ -4,9 +4,9 @@
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-The matrix is 247 invocations, 59 for each of the four families and eleven
-more: every family at seven target angles (pi, pi/2, 1.0, 0.3, 0.05, 3.9,
-6.2) and two phases (0, 1.3), each through ``verify --out``,
+The matrix is 249 invocations, 59 for each of the four families and
+thirteen more: every family at seven target angles (pi, pi/2, 1.0, 0.3,
+0.05, 3.9, 6.2) and two phases (0, 1.3), each through ``verify --out``,
 ``synth --dump-matrix`` and ``trajectory --samples 16`` (at eps = 0.1,
 f = -0.1), plus the default grid and a ``-1:1:41`` x ``-3:3:33`` grid of
 every family and angle at phase 1.3. Angles outside a family's domain are
@@ -16,17 +16,22 @@ CSV's row-template memo (the last axis pair's) both misses and hits: f axes
 ``-1:-0.0:3`` and ``-1:0.0:3``, equal as axes but printed with ``-0`` and
 ``0``, then one default grid twice. After them come the outputs that the
 rest leaves out: ``timecompare`` with its defaults, on ``0.1:6.2:9`` (which
-holds domain failures) and as JSON, then for each family at angle 1.0 and
-phase 1.3 a 5x5 ``grid --format json``, a ``trajectory --format json
---samples 4`` and a ``verify --ray f --out``. Two SCORBUTUS grids at angle
-pi/2 follow, on f axes whose rows ``fidelity_grid`` mirrors: the descending
-``0.25:-0.25:10``, with no middle row, and ``-0.25:0.25:2``, the shortest.
-Two grids of a fixed three-pulse ``--sequence-file`` close the matrix: the
-sequence is not its own reverse, and its phases reflected about the
-target's are not its own phases, so on the default (symmetric) axes
-``fidelity_grid`` fills half the rows from that reflection, and on the f
-axis ``-0.2:0.25:19`` it evaluates every row. The tool writes the file into
-its temporary directory.
+holds domain failures), on ``0:pi:3`` (whose angle 0 is outside every
+compared family's domain) and as JSON, then for each family at angle 1.0
+and phase 1.3 a 5x5 ``grid --format json``, a ``trajectory --format json
+--samples 4`` and a ``verify --ray f --out``. On an f axis with
+``start == -stop``, ``fidelity_grid`` fills row n-1-k of a sequence S from
+row k of its reverse, F_S(eps, -f) = F_{rev S}(eps, f): a copy where S
+equals its reverse, a fold of the same pulse pairs in reverse order where
+it does not. Two SCORBUTUS grids at angle pi/2 follow, on f axes whose rows
+are copies: the descending ``0.25:-0.25:10``, with no middle row, and
+``-0.25:0.25:2``, the shortest. Three ``--sequence-file`` grids close the
+matrix. A fixed three-pulse sequence that is not its own reverse has its
+default (symmetric) grid, with half the rows from the reversed fold, and
+one on the f axis ``-0.2:0.25:19``, where every row is evaluated. A fixed
+four-pulse sequence equal to its reverse has its default grid, whose rows
+are copies: an even length, which only the grid's own reverse test
+accepts. The tool writes both files into its temporary directory.
 
 Each line is the arguments, a tab, and the SHA-256 of the exit code, stdout,
 stderr and the file written by ``--out``, in that order. Every invocation
@@ -58,6 +63,14 @@ SEQUENCE_DATA = {
     "target": {"theta": 1.0, "phi": 0.3},
     "pulses": [{"theta": 0.7, "phi": 1.1}, {"theta": 3.1, "phi": 2.5}, {"theta": 1.9, "phi": 0.3}],
 }
+REVERSE_EQUAL = "reverse-equal.json"
+REVERSE_EQUAL_DATA = {
+    "family": "custom",
+    "target": {"theta": 1.0, "phi": 0.3},
+    "pulses": [
+        {"theta": 0.7, "phi": 1.1}, {"theta": 3.1, "phi": 2.5}, {"theta": 3.1, "phi": 2.5}, {"theta": 0.7, "phi": 1.1}
+    ],
+}
 
 
 def invocations(families) -> list[list[str]]:
@@ -77,7 +90,8 @@ def invocations(families) -> list[list[str]]:
     calls.append(["grid", *target, "--f=-1:-0.0:3"])
     calls.append(["grid", *target, "--f=-1:0.0:3"])
     calls += [["grid", *target]] * 2
-    calls += [["timecompare"], ["timecompare", "--thetas", "0.1:6.2:9"], ["timecompare", "--format", "json"]]
+    calls += [["timecompare"], ["timecompare", "--thetas", "0.1:6.2:9"], ["timecompare", "--thetas", "0:pi:3"]]
+    calls.append(["timecompare", "--format", "json"])
     for family in families:
         target = ["--family", family, "--theta", "1.0", "--phi", "1.3"]
         calls.append(["grid", *target, "--eps", "-0.2:0.2:5", "--f", "-0.2:0.2:5", "--format", "json"])
@@ -86,6 +100,7 @@ def invocations(families) -> list[list[str]]:
     target = ["--family", "scorbutus", "--theta", "pi/2"]
     calls += [["grid", *target, "--f=0.25:-0.25:10"], ["grid", *target, "--f=-0.25:0.25:2"]]
     calls += [["grid", "--sequence-file", SEQUENCE], ["grid", "--sequence-file", SEQUENCE, "--f=-0.2:0.25:19"]]
+    calls.append(["grid", "--sequence-file", REVERSE_EQUAL])
     return calls
 
 
@@ -113,7 +128,8 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        Path(SEQUENCE).write_text(json.dumps(SEQUENCE_DATA), encoding="utf-8")
+        for name, data in ((SEQUENCE, SEQUENCE_DATA), (REVERSE_EQUAL, REVERSE_EQUAL_DATA)):
+            Path(name).write_text(json.dumps(data), encoding="utf-8")
         try:
             for argv in invocations(FAMILIES):
                 print(" ".join(argv), digest(cli.main, argv), sep="\t")
