@@ -70,9 +70,7 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     the pair (a, b) up to a sign, which the turn does not see. Raises if any
     matrix of U is not unitary, NaN entries included, like gate_fidelity.
     """
-    _require_one_state(r, "r")
-    if not abs(r.norm() - 1.0) <= NORM_TOL:
-        raise ValueError(f"Bloch vector norm {r.norm()!r} is not 1")
+    _require_one_state(r, "r", "Bloch vector")
     U = _unitary_operand(np.asarray(U, dtype=complex))
     root = np.sqrt(U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0])
     x, y, z = _turn((U[..., 0, 0] / root, U[..., 1, 0] / root), r)
@@ -81,11 +79,14 @@ def apply_to_state(U: Unitary2, r: BlochVector) -> BlochVector:
     return BlochVector(x, y, z)
 
 
-def _require_one_state(r: BlochVector, name: str) -> None:
-    # the state arguments take one state: a stack's (array fields, as
-    # apply_to_state returns them) is a ValueError naming the argument
+def _require_one_state(r: BlochVector, name: str, label: str) -> None:
+    # the state arguments take one state of unit norm: a stack's (array
+    # fields, as apply_to_state returns them) is a ValueError naming the
+    # argument, and a norm more than NORM_TOL off 1 one quoting label and norm
     if isinstance(r.x, np.ndarray):
         raise ValueError(f"{name} must be one Bloch vector, got a stack of shape {r.x.shape}")
+    if not abs(r.norm() - 1.0) <= NORM_TOL:
+        raise ValueError(f"{label} norm {r.norm()!r} is not 1")
 
 
 def _turn(pair, r: BlochVector):
@@ -173,12 +174,10 @@ def trajectory(
         shape = getattr(getattr(err, name), "shape", ())
         if shape:
             raise ValueError(f"trajectory needs a scalar err.{name}, got an array of shape {shape}")
-    _require_one_state(initial, "initial")
-    if not abs(initial.norm() - 1.0) <= NORM_TOL:
-        raise ValueError(f"initial Bloch vector norm {initial.norm()!r} is not 1")
+    _require_one_state(initial, "initial", "initial Bloch vector")
     (a, b), rows = _pulse_pairs(seq.pulses, err.epsilon, err.f, np.array(_fractions(samples_per_pulse)))
-    # the kernel's overflow guard, as in su2._pair_fidelity: a pair is NaN,
-    # its a included, exactly when its angle overflowed
+    # the kernel's overflow guard, as in su2._overlap: a pair is NaN, its a
+    # included, exactly when its angle overflowed
     if not np.isfinite(a).all():
         raise ValueError("non-unitary partial rotation: pulse angles or errors too large")
     # row i - 1 of the path holds pulse i's partial rotations; a pulse acts

@@ -5,13 +5,15 @@ products over pulse sequences, and the fidelity used to compare them.
 
 Every gate the package builds is special unitary, U = [[a, -b*], [b, a*]],
 so inside the package a gate travels as its Cayley-Klein pair (a, b) of
-complex values or arrays: the pair product and the pair fidelity below are
-closed forms on two arrays instead of four matrix entries, and the pair
-guard is one finiteness test. Matrices, plain (..., 2, 2) complex numpy arrays, appear only at
-the public boundary: :func:`rotation` and :func:`rotation_with_error` build
-theirs once from the pair, and :func:`compose`, :func:`gate_fidelity`,
-:func:`unitarity_defect` (and ``bloch.apply_to_state``) accept any 2x2
-unitary, global phase included, and reject an operand of any other shape.
+complex values or arrays: the pair product and the overlap with a target
+below are closed forms on two arrays instead of four matrix entries, and
+the pair guard is one finiteness test, in the overlap, from which grids and
+rays both read the fidelity. Matrices, plain (..., 2, 2) complex numpy
+arrays, appear only at the public boundary: :func:`rotation` and
+:func:`rotation_with_error` build theirs once from the pair, and
+:func:`compose`, :func:`gate_fidelity`, :func:`unitarity_defect` (and
+``bloch.apply_to_state``) accept any 2x2 unitary, global phase included,
+and reject an operand of any other shape.
 Everything broadcasts: given error fields that are arrays, it works on a
 stack, one gate per element, so that a sweep over errors is one call
 instead of a loop.
@@ -164,18 +166,20 @@ def _pair_product(left, right):
     return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
 
 
-def _pair_fidelity(pair, target):
-    # gate_fidelity of the two pairs' matrices: tr(U^dagger V) = 2 Re(a* c +
-    # b* d) is real for special unitaries. Taken through numpy's complex
-    # products, which round like gate_fidelity's entrywise ones, so both give
-    # the same bits. The overflow guard: a kernel pair is unitary to a few
-    # ulps per pulse unless its angle overflowed, which makes the whole pair
-    # NaN, and a NaN reaches a of every product; so the sequence pair's a is
-    # all there is to test (the target comes from a finite Pulse).
+def _overlap(pair, target):
+    # c* a + d* b of the sequence pair (a, b) and the target pair (c, d): the
+    # a of T^dagger U, whose |Re| is gate_fidelity of the two pairs' matrices
+    # (tr(T^dagger U) = 2 Re of it is real for special unitaries). Taken
+    # through numpy's complex products, which round like gate_fidelity's
+    # entrywise ones, so both give the same bits. The overflow guard: a kernel
+    # pair is unitary to a few ulps per pulse unless its angle overflowed,
+    # which makes the whole pair NaN, and a NaN reaches a of every product;
+    # so the sequence pair's a is all there is to test (the target comes from
+    # a finite Pulse).
     (a, b), (c, d) = pair, target
     if not np.isfinite(a).all():
         raise ValueError("non-unitary operand")
-    return np.minimum(1.0, np.abs((np.conj(c) * a + np.conj(d) * b).real))
+    return np.conj(c) * a + np.conj(d) * b
 
 
 def _pulse_pairs(pulses, eps, f, fractions=None):

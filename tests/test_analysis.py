@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pulsesmith import analysis, sequences, su2
+from pulsesmith import analysis, cli, sequences, su2
 from pulsesmith.analysis import (
     GRID_BLOCK_POINTS,
     INFIDELITY_FLOOR,
@@ -145,6 +145,50 @@ def test_slope_report_points_lie_on_its_ray(family):
             assert report.infidelities == tuple(want.tolist()), (theta, ray)
             # and they are infidelity_ray's, the one ray evaluator
             assert report.infidelities == tuple(infidelity_ray(seq, ray, T_VALUES)), (theta, ray)
+
+
+@pytest.mark.parametrize("theta, phi", [(1.0, 0.3), (PI / 2, 0.0), (3.0, 1.3)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_grid_and_the_ray_read_one_overlap(family, theta, phi):
+    # both take the overlap with the target from su2._overlap, so along f = 0
+    # the grid's 1 - F is the ray's infidelity at t = |eps| to a few units of
+    # 2^-53 (at most 6.1 seen); a wrong b of T^dagger U or a wrong target
+    # moves the gap by orders of magnitude
+    axis = AxisSpec(-0.25, 0.25, 101)
+    seq = synthesize(family, theta, phi)
+    points = axis.points()
+    assert points[50] == 0.0
+    row = fidelity_grid(seq, axis, axis).values[50]
+    for sign in (1.0, -1.0):
+        side = np.flatnonzero(sign * points >= 0.0)
+        ray = infidelity_ray(seq, (sign, 0.0), (sign * points[side]).tolist())
+        assert np.max(np.abs((1.0 - row[side]) - ray)) <= 16 * 2.0**-53, sign
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_report_and_grid_json_keep_their_layout(family):
+    # the mappings to_dict gave when it listed every field by hand
+    seq = synthesize(family, 1.0, 0.3)
+    for ray in cli.RAY_DIRECTIONS.values():
+        report = slope_report(seq, ray, cli.T_VALUES)
+        assert json.dumps(report.to_dict()) == json.dumps({
+            "ray": {"d_eps": report.ray[0], "d_f": report.ray[1]},
+            "t_values": list(report.t_values),
+            "infidelities": list(report.infidelities),
+            "fitted_slope": report.fitted_slope,
+            "fit_residual": report.fit_residual,
+        }), ray
+    eps_axis, f_axis = AxisSpec(-0.25, 0.25, 5), AxisSpec(-0.2, 0.1, 4)
+    grid = fidelity_grid(seq, eps_axis, f_axis)
+    data = grid.to_dict()
+    assert list(data) == ["family", "target", "eps_axis", "f_axis", "values"]
+    assert json.dumps(data) == json.dumps({
+        "family": family,
+        "target": {"theta": seq.target.theta, "phi": seq.target.phi},
+        "eps_axis": {"start": -0.25, "stop": 0.25, "count": 5},
+        "f_axis": {"start": -0.2, "stop": 0.1, "count": 4},
+        "values": grid.values.tolist(),
+    })
 
 
 @pytest.mark.parametrize("family", FAMILIES)

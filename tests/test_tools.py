@@ -8,6 +8,15 @@ from pulsesmith.sequences import FAMILIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the sweep's FAIL verdicts (exit 3); the nearest passing ray is 0.024 inside
+# the slope tolerance, so no platform's rounding adds a run to them
+KNOWN_FAILS = {
+    (family, str(k), phi)
+    for family, ks in (("elementary", [127]), ("scorbutus", range(1, 7)), ("skinsc", [*range(1, 9), 126, 127]))
+    for k in ks
+    for phi in ("0", "0.3")
+}
+
 
 def test_verify_sweep_prints_one_line_per_run_and_counts_that_add_up():
     run = subprocess.run(
@@ -23,6 +32,9 @@ def test_verify_sweep_prints_one_line_per_run_and_counts_that_add_up():
     ]
     assert lines[len(runs):] == [f"# exit {code}: {n}" for code, n in sorted(counts.items())]
     assert counts == Counter(int(r[3]) for r in runs)
+    # a change may clear a known FAIL, never add one
+    fails = {tuple(r[:3]) for r in runs if r[3] == "3"}
+    assert fails <= KNOWN_FAILS, sorted(fails - KNOWN_FAILS)
     for family, k, phi, code, *detail in runs:
         if code == "0":
             assert detail == [], (family, k, phi)
